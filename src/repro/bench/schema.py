@@ -7,9 +7,8 @@ machine-readable and comparable across the repo's history.
 
 from __future__ import annotations
 
-from numbers import Real
-
 from repro.telemetry.schema import validate_snapshot
+from repro.utils.schema import SchemaChecks, is_number
 
 SCHEMA_VERSION = 1
 
@@ -24,30 +23,18 @@ _REQUIRED_SPEEDUPS = {
 }
 _TIMING_FIELDS = ("seconds_median", "seconds_best", "samples_per_second", "repeats")
 
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(f"bench schema violation: {message}")
+_schema = SchemaChecks("bench")
 
 
 def _check_timing(name: str, stanza: object) -> None:
-    _require(isinstance(stanza, dict), f"timing {name!r} must be an object")
+    _schema.require(isinstance(stanza, dict), f"timing {name!r} must be an object")
     for field in _TIMING_FIELDS:
-        _require(field in stanza, f"timing {name!r} missing {field!r}")
-        _require(
-            isinstance(stanza[field], Real) and not isinstance(stanza[field], bool),
+        _schema.require(field in stanza, f"timing {name!r} missing {field!r}")
+        _schema.require(
+            is_number(stanza[field]),
             f"timing {name!r} field {field!r} must be a number",
         )
-    _require(stanza["seconds_median"] >= 0, f"timing {name!r} has negative time")
-
-
-def _check_number(label: str, value: object, minimum: float | None = None) -> None:
-    _require(
-        isinstance(value, Real) and not isinstance(value, bool),
-        f"{label} must be a number",
-    )
-    if minimum is not None:
-        _require(value >= minimum, f"{label} must be >= {minimum}")
+    _schema.require(stanza["seconds_median"] >= 0, f"timing {name!r} has negative time")
 
 
 #: Numeric fields required in every scaling point (beyond n_workers /
@@ -71,113 +58,57 @@ def _check_scaling(label: str, scaling: object, checks: dict) -> None:
     whose parallel trainer diverged from the sequential one is invalid,
     not merely slow.
     """
-    _require(isinstance(scaling, dict), f"workload {label!r} scaling must be an object")
+    _schema.require(isinstance(scaling, dict), f"workload {label!r} scaling must be an object")
     worker_counts = scaling.get("worker_counts")
-    _require(
+    _schema.require(
         isinstance(worker_counts, list) and worker_counts,
         f"workload {label!r} scaling.worker_counts must be a non-empty list",
     )
     for count in worker_counts:
-        _require(
+        _schema.require(
             isinstance(count, int) and not isinstance(count, bool) and count >= 1,
             f"workload {label!r} scaling.worker_counts entries must be ints >= 1",
         )
     cpu_count = scaling.get("cpu_count")
-    _require(
+    _schema.require(
         isinstance(cpu_count, int) and not isinstance(cpu_count, bool) and cpu_count >= 1,
         f"workload {label!r} scaling.cpu_count must be an int >= 1",
     )
     points = scaling.get("points")
-    _require(
+    _schema.require(
         isinstance(points, list) and len(points) == len(worker_counts),
         f"workload {label!r} scaling.points must have one entry per worker count",
     )
     for point in points:
-        _require(isinstance(point, dict), f"workload {label!r} scaling point must be an object")
-        _require(
+        _schema.require(
+            isinstance(point, dict),
+            f"workload {label!r} scaling point must be an object",
+        )
+        _schema.require(
             point.get("n_workers") in worker_counts,
             f"workload {label!r} scaling point n_workers not in worker_counts",
         )
         where = f"workload {label!r} scaling point w={point.get('n_workers')}"
         for field in _SCALING_POINT_NUMBERS:
-            _check_number(f"{where} {field}", point.get(field), minimum=0)
-        _require(
+            value = point.get(field)
+            _schema.require(is_number(value), f"{where} {field} must be a number")
+            _schema.require(value >= 0, f"{where} {field} must be >= 0")
+        _schema.require(
             isinstance(point.get("outputs_sha256"), str),
             f"{where} missing outputs_sha256",
         )
-        _require(
+        _schema.require(
             isinstance(point.get("outputs_match"), bool),
             f"{where} missing outputs_match",
         )
-        _require(
+        _schema.require(
             isinstance(point.get("in_process"), bool),
             f"{where} missing in_process",
         )
-    _require(
+    _schema.require(
         checks.get("parallel_outputs_match") is True,
         f"workload {label!r} parallel trainer diverged from sequential "
         "(checks.parallel_outputs_match must be True)",
-    )
-
-
-def _check_kernels(block: object) -> None:
-    """Validate the optional top-level ``kernels`` block (kernel profiles).
-
-    The block is inference-only and carries the bit-identity gate: every
-    primitive's ``bit_identical`` flag and the aggregate
-    ``checks.kernel_outputs_match`` must be True — a compiled backend
-    producing different bits invalidates the artifact.  Speedup fields
-    are validated for shape only, never thresholded (hardware-dependent).
-    """
-    _require(isinstance(block, dict), "kernels block must be an object")
-    _require(isinstance(block.get("mode"), str), "kernels.mode must be a string")
-    _require(
-        isinstance(block.get("numba_available"), bool),
-        "kernels.numba_available must be a bool",
-    )
-    active = block.get("active_backends")
-    _require(isinstance(active, dict) and active, "kernels.active_backends must be a non-empty object")
-    for op, backend in active.items():
-        _require(
-            isinstance(backend, str),
-            f"kernels.active_backends[{op!r}] must be a backend name",
-        )
-    primitives = block.get("primitives")
-    _require(
-        isinstance(primitives, dict) and primitives,
-        "kernels.primitives must be a non-empty object",
-    )
-    for op, primitive in primitives.items():
-        where = f"kernels.primitives[{op!r}]"
-        _require(isinstance(primitive, dict), f"{where} must be an object")
-        backends = primitive.get("backends")
-        _require(
-            isinstance(backends, dict) and "numpy" in backends,
-            f"{where}.backends must include the numpy reference",
-        )
-        for name, stanza in backends.items():
-            _require(isinstance(stanza, dict), f"{where}.backends[{name!r}] must be an object")
-            _check_number(
-                f"{where}.backends[{name!r}].seconds_median",
-                stanza.get("seconds_median"),
-                minimum=0,
-            )
-        _require(
-            primitive.get("best_backend") in backends,
-            f"{where}.best_backend must name a timed backend",
-        )
-        _check_number(f"{where}.speedup_vs_numpy", primitive.get("speedup_vs_numpy"), minimum=0)
-        _require(
-            primitive.get("bit_identical") is True,
-            f"{where} compiled backend diverged from the NumPy reference "
-            "(bit_identical must be True)",
-        )
-    checks = block.get("checks")
-    _require(isinstance(checks, dict), "kernels.checks must be an object")
-    _require(
-        checks.get("kernel_outputs_match") is True,
-        "kernels.checks.kernel_outputs_match must be True "
-        "(compiled backends must be bit-identical to the reference)",
     )
 
 
@@ -186,62 +117,68 @@ def validate_bench_payload(payload: object, benchmark: str | None = None) -> dic
 
     Raises ``ValueError`` describing the first violation found.
     """
-    _require(isinstance(payload, dict), "payload must be a JSON object")
-    _require(
+    _schema.require(isinstance(payload, dict), "payload must be a JSON object")
+    _schema.require(
         payload.get("schema_version") == SCHEMA_VERSION,
         f"schema_version must be {SCHEMA_VERSION}",
     )
     kind = payload.get("benchmark")
-    _require(kind in _REQUIRED_TIMINGS, f"benchmark must be one of {sorted(_REQUIRED_TIMINGS)}")
+    _schema.require(
+        kind in _REQUIRED_TIMINGS,
+        f"benchmark must be one of {sorted(_REQUIRED_TIMINGS)}",
+    )
     if benchmark is not None:
-        _require(kind == benchmark, f"expected benchmark {benchmark!r}, found {kind!r}")
-    _require(isinstance(payload.get("profile"), str), "profile must be a string")
+        _schema.require(kind == benchmark, f"expected benchmark {benchmark!r}, found {kind!r}")
+    _schema.require(isinstance(payload.get("profile"), str), "profile must be a string")
     environment = payload.get("environment")
-    _require(isinstance(environment, dict), "environment must be an object")
+    _schema.require(isinstance(environment, dict), "environment must be an object")
     for field in ("python", "numpy", "platform"):
-        _require(isinstance(environment.get(field), str), f"environment.{field} must be a string")
+        _schema.require(
+            isinstance(environment.get(field), str),
+            f"environment.{field} must be a string",
+        )
 
     workloads = payload.get("workloads")
-    _require(isinstance(workloads, list) and workloads, "workloads must be a non-empty list")
+    _schema.require(isinstance(workloads, list) and workloads, "workloads must be a non-empty list")
     for entry in workloads:
-        _require(isinstance(entry, dict), "each workload must be an object")
-        _require(isinstance(entry.get("name"), str), "workload missing name")
+        _schema.require(isinstance(entry, dict), "each workload must be an object")
+        _schema.require(isinstance(entry.get("name"), str), "workload missing name")
         label = entry["name"]
         config = entry.get("config")
-        _require(isinstance(config, dict), f"workload {label!r} missing config object")
+        _schema.require(isinstance(config, dict), f"workload {label!r} missing config object")
         for field in ("dim", "levels", "chunk_size", "n_features", "n_classes", "seed"):
-            _require(
+            _schema.require(
                 isinstance(config.get(field), int),
                 f"workload {label!r} config.{field} must be an int",
             )
         timings = entry.get("timings")
-        _require(isinstance(timings, dict), f"workload {label!r} missing timings")
+        _schema.require(isinstance(timings, dict), f"workload {label!r} missing timings")
         for name in _REQUIRED_TIMINGS[kind]:
-            _require(name in timings, f"workload {label!r} missing timing {name!r}")
+            _schema.require(name in timings, f"workload {label!r} missing timing {name!r}")
         # Every stanza present — required or extra (e.g. train_parallel_w4)
         # — must be well-formed.
         for name, stanza in timings.items():
             _check_timing(f"{label}.{name}", stanza)
         speedups = entry.get("speedups")
-        _require(isinstance(speedups, dict), f"workload {label!r} missing speedups")
+        _schema.require(isinstance(speedups, dict), f"workload {label!r} missing speedups")
         for name in _REQUIRED_SPEEDUPS[kind]:
             value = speedups.get(name)
-            _require(
-                isinstance(value, Real) and not isinstance(value, bool) and value > 0,
+            _schema.require(
+                is_number(value) and value > 0,
                 f"workload {label!r} speedups.{name} must be a positive number",
             )
         checks = entry.get("checks")
-        _require(isinstance(checks, dict), f"workload {label!r} missing checks")
-        _require(
+        _schema.require(isinstance(checks, dict), f"workload {label!r} missing checks")
+        _schema.require(
             checks.get("outputs_match") is True,
             f"workload {label!r} fused/reference outputs diverged",
         )
-        _require(
+        _schema.require(
             isinstance(checks.get("outputs_sha256"), str),
             f"workload {label!r} missing outputs_sha256 checksum",
         )
         if "scaling" in entry:
-            _require(
+            _schema.require(
                 kind == "training",
                 f"workload {label!r} has a scaling block outside a training bench",
             )
@@ -252,13 +189,5 @@ def validate_bench_payload(payload: object, benchmark: str | None = None) -> dic
         try:
             validate_snapshot(payload["telemetry"])
         except ValueError as error:
-            _require(False, f"telemetry block invalid: {error}")
-    # Optional: only the kernel profiles embed it, and only in inference
-    # payloads.  When present it must pass the bit-identity gate.
-    if "kernels" in payload:
-        _require(
-            kind == "inference",
-            "kernels block belongs in the inference payload only",
-        )
-        _check_kernels(payload["kernels"])
+            _schema.require(False, f"telemetry block invalid: {error}")
     return payload

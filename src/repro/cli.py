@@ -172,10 +172,6 @@ def _parse_worker_counts(text: str) -> tuple[int, ...]:
 def _cmd_bench(args) -> int:
     from repro.bench import write_bench_files
 
-    if args.kernel_backend:
-        from repro import kernels
-
-        kernels.set_backend(args.kernel_backend)
     training_path, inference_path = write_bench_files(
         args.profile,
         out_dir=args.out_dir,
@@ -633,16 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(profile_names()),
         help="workload set: 'full' is the perf gate, 'smoke' a CI-sized run; "
         "'training-scaling[-smoke]' sweeps the sharded trainer over worker "
-        "counts and writes only BENCH_training.json; 'kernels[-smoke]' also "
-        "times each registry primitive per backend and embeds the kernels "
-        "block (bit-identity gated) in BENCH_inference.json",
-    )
-    bench.add_argument(
-        "--kernel-backend",
-        default=None,
-        choices=["auto", "numpy", "numba"],
-        help="pin the kernel registry backend for this run (default: the "
-        "REPRO_KERNEL_BACKEND env var, or auto)",
+        "counts and writes only BENCH_training.json",
     )
     bench.add_argument("--out-dir", default=".", help="directory for the BENCH_*.json files")
     bench.add_argument(

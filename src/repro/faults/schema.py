@@ -7,7 +7,7 @@ machine-readable and comparable across the repo's history.
 
 from __future__ import annotations
 
-from numbers import Real
+from repro.utils.schema import SchemaChecks, is_number
 
 FAULTS_SCHEMA_VERSION = 1
 
@@ -15,24 +15,13 @@ _CURVE_FIELDS = ("ber", "accuracy_mean", "accuracy_std", "accuracy_min", "accura
 _REQUIRED_MODELS = ("plain", "compressed", "decorrelated")
 _NOISE_FIELDS = ("noise_to_signal", "rank_flip_rate")
 
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(f"faults schema violation: {message}")
-
-
-def _check_number(value: object, message: str, low: float | None = None, high: float | None = None) -> None:
-    _require(isinstance(value, Real) and not isinstance(value, bool), message)
-    if low is not None:
-        _require(value >= low, f"{message} (must be >= {low})")
-    if high is not None:
-        _require(value <= high, f"{message} (must be <= {high})")
+_schema = SchemaChecks("faults")
 
 
 def _check_noise(label: str, stats: object) -> None:
-    _require(isinstance(stats, dict), f"{label} must be an object")
+    _schema.require(isinstance(stats, dict), f"{label} must be an object")
     for field in _NOISE_FIELDS:
-        _check_number(stats.get(field), f"{label}.{field} must be a number", low=0.0)
+        _schema.number(stats.get(field), f"{label}.{field} must be a number", low=0.0)
 
 
 def validate_faults_payload(payload: object) -> dict:
@@ -40,60 +29,71 @@ def validate_faults_payload(payload: object) -> dict:
 
     Raises ``ValueError`` describing the first violation found.
     """
-    _require(isinstance(payload, dict), "payload must be a JSON object")
-    _require(
+    _schema.require(isinstance(payload, dict), "payload must be a JSON object")
+    _schema.require(
         payload.get("schema_version") == FAULTS_SCHEMA_VERSION,
         f"schema_version must be {FAULTS_SCHEMA_VERSION}",
     )
-    _require(payload.get("benchmark") == "faults", "benchmark must be 'faults'")
+    _schema.require(payload.get("benchmark") == "faults", "benchmark must be 'faults'")
 
     config = payload.get("config")
-    _require(isinstance(config, dict), "config must be an object")
+    _schema.require(isinstance(config, dict), "config must be an object")
     bers = config.get("bers")
-    _require(isinstance(bers, list) and bers, "config.bers must be a non-empty list")
+    _schema.require(isinstance(bers, list) and bers, "config.bers must be a non-empty list")
     for ber in bers:
-        _check_number(ber, "config.bers entries must be numbers", low=0.0, high=1.0)
+        _schema.number(ber, "config.bers entries must be numbers", low=0.0, high=1.0)
     for field in ("dim", "levels", "chunk_size", "n_classes", "trials", "seed"):
-        _require(isinstance(config.get(field), int), f"config.{field} must be an int")
+        _schema.require(isinstance(config.get(field), int), f"config.{field} must be an int")
     targets = config.get("targets")
-    _require(
+    _schema.require(
         isinstance(targets, list) and targets and all(isinstance(t, str) for t in targets),
         "config.targets must be a non-empty list of strings",
     )
 
     environment = payload.get("environment")
-    _require(isinstance(environment, dict), "environment must be an object")
+    _schema.require(isinstance(environment, dict), "environment must be an object")
     for field in ("python", "numpy", "platform"):
-        _require(isinstance(environment.get(field), str), f"environment.{field} must be a string")
+        _schema.require(
+            isinstance(environment.get(field), str),
+            f"environment.{field} must be a string",
+        )
 
     models = payload.get("models")
-    _require(isinstance(models, list) and models, "models must be a non-empty list")
+    _schema.require(isinstance(models, list) and models, "models must be a non-empty list")
     names = []
     for entry in models:
-        _require(isinstance(entry, dict), "each model must be an object")
+        _schema.require(isinstance(entry, dict), "each model must be an object")
         name = entry.get("name")
-        _require(isinstance(name, str), "model missing name")
+        _schema.require(isinstance(name, str), "model missing name")
         names.append(name)
-        _check_number(
+        _schema.number(
             entry.get("clean_accuracy"), f"model {name!r} clean_accuracy", low=0.0, high=1.0
         )
-        _require(isinstance(entry.get("exposed_bits"), int), f"model {name!r} exposed_bits must be an int")
+        _schema.require(
+            isinstance(entry.get("exposed_bits"), int),
+            f"model {name!r} exposed_bits must be an int",
+        )
         curve = entry.get("curve")
-        _require(isinstance(curve, list) and curve, f"model {name!r} curve must be a non-empty list")
-        _require(
+        _schema.require(
+            isinstance(curve, list) and curve,
+            f"model {name!r} curve must be a non-empty list",
+        )
+        _schema.require(
             len(curve) == len(bers),
             f"model {name!r} curve must have one point per swept BER",
         )
         for point in curve:
-            _require(isinstance(point, dict), f"model {name!r} curve points must be objects")
+            _schema.require(isinstance(point, dict), f"model {name!r} curve points must be objects")
             for field in _CURVE_FIELDS:
-                _check_number(point.get(field), f"model {name!r} curve point {field}")
-            _check_number(point.get("accuracy_mean"), "accuracy_mean", low=0.0, high=1.0)
-            _require(isinstance(point.get("trials"), int) and point["trials"] >= 1,
-                     f"model {name!r} curve point trials must be a positive int")
+                _schema.number(point.get(field), f"model {name!r} curve point {field}")
+            _schema.number(point.get("accuracy_mean"), "accuracy_mean", low=0.0, high=1.0)
+            _schema.require(
+                isinstance(point.get("trials"), int) and point["trials"] >= 1,
+                f"model {name!r} curve point trials must be a positive int",
+            )
         safe = entry.get("max_safe_ber")
-        _require(
-            safe is None or (isinstance(safe, Real) and not isinstance(safe, bool)),
+        _schema.require(
+            safe is None or is_number(safe),
             f"model {name!r} max_safe_ber must be a number or null",
         )
         if entry.get("noise_clean") is not None:
@@ -101,20 +101,25 @@ def validate_faults_payload(payload: object) -> dict:
         if entry.get("noise_at_max_ber") is not None:
             _check_noise(f"model {name!r} noise_at_max_ber", entry["noise_at_max_ber"])
     for required in _REQUIRED_MODELS:
-        _require(required in names, f"models must include the {required!r} variant")
+        _schema.require(required in names, f"models must include the {required!r} variant")
 
     feature_noise = payload.get("feature_noise")
-    _require(isinstance(feature_noise, list), "feature_noise must be a list")
+    _schema.require(isinstance(feature_noise, list), "feature_noise must be a list")
     for entry in feature_noise:
-        _require(isinstance(entry, dict), "feature_noise entries must be objects")
-        _check_number(entry.get("sigma"), "feature_noise sigma", low=0.0)
+        _schema.require(isinstance(entry, dict), "feature_noise entries must be objects")
+        _schema.number(entry.get("sigma"), "feature_noise sigma", low=0.0)
         accuracy = entry.get("accuracy")
-        _require(isinstance(accuracy, dict) and accuracy, "feature_noise entry missing accuracy map")
+        _schema.require(
+            isinstance(accuracy, dict) and accuracy,
+            "feature_noise entry missing accuracy map",
+        )
         for variant, value in accuracy.items():
-            _check_number(value, f"feature_noise accuracy[{variant!r}]", low=0.0, high=1.0)
+            _schema.number(value, f"feature_noise accuracy[{variant!r}]", low=0.0, high=1.0)
 
     checks = payload.get("checks")
-    _require(isinstance(checks, dict), "checks must be an object")
-    _check_number(checks.get("chance_accuracy"), "checks.chance_accuracy", low=0.0, high=1.0)
-    _check_number(checks.get("accuracy_drop_budget"), "checks.accuracy_drop_budget", low=0.0, high=1.0)
+    _schema.require(isinstance(checks, dict), "checks must be an object")
+    _schema.number(checks.get("chance_accuracy"), "checks.chance_accuracy", low=0.0, high=1.0)
+    _schema.number(
+        checks.get("accuracy_drop_budget"), "checks.accuracy_drop_budget", low=0.0, high=1.0
+    )
     return payload

@@ -79,7 +79,7 @@ def xor_bind(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _popcount(words: np.ndarray) -> np.ndarray:
     """Per-row population count of ``(…, W)`` uint64 words.
 
-    Routed through the kernel registry's ``packed_popcount`` primitive,
+    Routed through the ``kernels.packed_popcount`` primitive,
     which owns the NumPy ≥ 2 ``np.bitwise_count`` feature check (one
     check at import, in :mod:`repro.kernels.reference`) and the tested
     256-entry byte-LUT fallback for older NumPy.

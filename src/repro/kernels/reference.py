@@ -1,17 +1,12 @@
 """NumPy reference implementations of the batched hot-path primitives.
 
-These are the *semantic definitions* of the kernel registry's primitives:
-every compiled backend must reproduce them bit for bit (enforced by the
-registry's probe verification and by ``tests/kernels``).  They are also
-the always-available fallback, so the library works — at NumPy speed —
-on any machine, with no optional dependency installed.
+These are the one implementation of each primitive, checked bit for bit
+against independent loop / histogram / GEMM oracles by ``tests/kernels``.
 
 Each primitive is batched: one call per training batch, inference batch,
 or materialisation, never per sample.  Floating-point primitives fix
-their accumulation order (chunk-major, as the pre-registry code already
-did), which is what makes bit-identical compiled backends possible at
-all — a backend that reassociates float additions cannot pass the gates
-and is demoted by the registry.
+their accumulation order (chunk-major), so results are deterministic and
+any future compiled path has an exact target to reproduce.
 
 Popcount centralisation
 -----------------------
@@ -27,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Ordered names of the registry's primitives.  ``counter_observe`` and
+#: Ordered names of the primitives.  ``counter_observe`` and
 #: ``counter_materialize`` are the two halves of the paper's counter
 #: primitive; together the six ops cover the five hot-path primitives of
 #: the lookup-domain pipeline (addressing, counters, fused scoring,
@@ -126,8 +121,7 @@ def gather_accumulate(
       pre-bound table ``B[i] = P_i ⊙ T``, ``out`` the encoded batch.
 
     Accumulation is chunk-major per output element (``c = 0, 1, …``), so
-    the float variant is deterministic and compiled backends can match it
-    bit for bit.
+    the float variant is deterministic.
     """
     addresses = np.asarray(addresses)
     out = np.zeros((addresses.shape[0], table.shape[2]), dtype=out_dtype)
@@ -167,60 +161,10 @@ def packed_popcount(words: np.ndarray) -> np.ndarray:
 def compressed_score(queries: np.ndarray, search_matrix: np.ndarray) -> np.ndarray:
     """Compressed-model search: ``(N, D) @ (k, D).T`` → ``(N, k)`` scores.
 
-    One BLAS GEMM — already a compiled kernel.  A JIT backend is only
-    accepted by the registry if it reproduces the exact GEMM bits (it
-    must route to the same BLAS); a reassociating loop is demoted.
+    One BLAS GEMM — already a compiled kernel.
     """
     return queries @ search_matrix.T
 
 
 REFERENCE_OPS = {name: globals()[name] for name in OP_NAMES}
 
-
-def probe_inputs(op: str) -> list[tuple]:
-    """Deterministic probe argument tuples for backend verification.
-
-    Small enough to run in microseconds, shaped to cover the dtype and
-    geometry corners each primitive meets in production (padding, empty
-    counts, int and float tables, all-ones/zeros words, a paper-scale
-    GEMM for :func:`compressed_score`).
-    """
-    rng = np.random.default_rng(0xC0DE)
-    if op == "chunk_addresses":
-        return [
-            (rng.integers(0, 4, size=(7, 11), dtype=np.int64), 4, 3, 4, 0),
-            (rng.integers(0, 2, size=(5, 8), dtype=np.int64), 2, 4, 2, 0),
-            (rng.integers(0, 6, size=(3, 5), dtype=np.int64), 6, 2, 3, 1),
-        ]
-    if op == "counter_observe":
-        return [
-            (rng.integers(0, 16, size=(50, 6), dtype=np.int64), 6, 16),
-            (np.zeros((0, 4), dtype=np.int64), 4, 8),
-        ]
-    if op == "counter_materialize":
-        dense = rng.integers(0, 9, size=(4, 16)).astype(np.int64)
-        sparse = np.zeros((4, 16), dtype=np.int64)
-        sparse[1, 3] = 17
-        sparse[3, 12] = 2
-        table = rng.integers(-5, 6, size=(16, 32)).astype(np.int64)
-        positions = rng.choice([-1, 1], size=(4, 32)).astype(np.int64)
-        return [(dense, table, positions), (sparse, table, positions)]
-    if op == "gather_accumulate":
-        addresses = rng.integers(0, 16, size=(9, 5), dtype=np.int64)
-        float_table = rng.standard_normal((5, 16, 7))
-        int_table = rng.integers(-4, 5, size=(5, 16, 7)).astype(np.int16)
-        return [
-            (float_table, addresses, np.float64),
-            (int_table, addresses, np.int64),
-        ]
-    if op == "packed_popcount":
-        words = rng.integers(0, 2**63, size=(9, 5), dtype=np.uint64)
-        words[0, 0] = 0
-        words[1, 1] = np.uint64(0xFFFFFFFFFFFFFFFF)
-        return [(words,), (words[0],)]
-    if op == "compressed_score":
-        return [
-            (rng.standard_normal((64, 256)), rng.standard_normal((13, 256))),
-            (rng.standard_normal((128, 2000)), rng.standard_normal((26, 2000))),
-        ]
-    raise ValueError(f"unknown kernel op {op!r}")

@@ -81,7 +81,7 @@ class ChunkLayout:
     def addresses(self, levels: np.ndarray, q: int, pad_level: int = 0) -> np.ndarray:
         """Fused pad + chunk + base-``q`` addressing: ``(N, n)`` → ``(N, m)``.
 
-        Routed through the kernel registry's ``chunk_addresses`` primitive;
+        Routed through the ``kernels.chunk_addresses`` primitive;
         bit-identical to ``chunk_addresses(self.split_levels(levels), q)``
         without materialising the ``(N, m, r)`` intermediate.
         """

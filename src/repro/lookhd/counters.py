@@ -129,9 +129,8 @@ class ChunkCounters:
             )
         if addresses.size and (addresses.min() < 0 or addresses.max() >= self.n_rows):
             raise ValueError(f"addresses must be in [0, {self.n_rows})")
-        # The registry's counter_observe primitive: the whole batch is
-        # histogrammed in one pass (bincount on the reference backend, a
-        # parallel per-chunk loop on the compiled one — exact either way).
+        # The counter_observe primitive: the whole batch is histogrammed
+        # in one bincount pass.
         batch_counts = kernels.counter_observe(addresses, self.n_chunks, self.n_rows)
         self._ensure_headroom(int(batch_counts.max(initial=0)), "observe")
         self.counts += batch_counts.astype(self.counts.dtype, copy=False)
@@ -158,11 +157,10 @@ class ChunkCounters:
             raise ValueError("table row count mismatch")
         if positions.shape != (self.n_chunks, table.shape[1]):
             raise ValueError("positions shape mismatch")
-        # The registry's counter_materialize primitive — all int64, so any
-        # backend's evaluation order is exact; the reference skips zero
-        # counter rows when occupancy is low (a class typically touches
-        # far fewer than q^r addresses per chunk), the factorisation that
-        # makes counter training cheap.
+        # The counter_materialize primitive — all int64, so exact.  It
+        # skips zero counter rows when occupancy is low (a class typically
+        # touches far fewer than q^r addresses per chunk), the
+        # factorisation that makes counter training cheap.
         return kernels.counter_materialize(self.counts, table, positions)
 
     def merge(self, other: "ChunkCounters") -> None:

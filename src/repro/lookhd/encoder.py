@@ -91,7 +91,6 @@ class LookupEncoder:
             layout.n_chunks, self.dim, rng=derive_rng(seed, "positions")
         )
         self._prebound = _UNSET
-        self._prebound_backend_version = kernels.backend_version()
         self._quantizer_version = quantizer.version
 
     @property
@@ -131,7 +130,6 @@ class LookupEncoder:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._prebound = _UNSET
-        self._prebound_backend_version = kernels.backend_version()
 
     def addresses(self, features: np.ndarray) -> np.ndarray:
         """Quantize and form chunk addresses: ``(N, n)`` floats → ``(N, m)`` ints."""
@@ -160,15 +158,7 @@ class LookupEncoder:
 
         Built lazily on first access; ``(m, q^r, D)`` in the lookup table's
         dtype.  Position binding is a ±1 multiply, so the dtype never widens.
-
-        The cache is keyed to the kernel registry's backend version: a
-        :func:`repro.kernels.set_backend` switch drops it, so a backend
-        swap can never serve state built under the previous backend (the
-        same version-counter idiom as the model/codebook caches).
         """
-        if self._prebound_backend_version != kernels.backend_version():
-            self._prebound = _UNSET
-            self._prebound_backend_version = kernels.backend_version()
         self.encoding_version  # sync against quantizer boundary moves
         # Single read, local return: a concurrent invalidate_prebound()
         # (registry eviction releasing a tenant's tables mid-request) must
@@ -204,10 +194,10 @@ class LookupEncoder:
     def invalidate_prebound(self) -> None:
         """Drop the pre-bound table so the next access rebuilds it.
 
-        The backend-version key only covers kernel switches; in-place
-        corruption of the cached table is invisible to it.  The integrity
-        layer (:mod:`repro.resilience`) calls this to force a rebuild from
-        the raw lookup table and positions.
+        In-place corruption of the cached table is invisible to the
+        quantizer-version key.  The integrity layer
+        (:mod:`repro.resilience`) calls this to force a rebuild from the
+        raw lookup table and positions.
         """
         self._prebound = _UNSET
         telemetry.count("encoder.prebound.invalidations")
@@ -231,7 +221,7 @@ class LookupEncoder:
         addresses = np.asarray(addresses)
         prebound = self.prebound_table
         if prebound is not None:
-            # The registry's gather_accumulate primitive: gather + sum per
+            # The gather_accumulate primitive: gather + sum per
             # chunk position, accumulated directly in ACCUM_DTYPE.
             encoded = kernels.gather_accumulate(prebound, addresses, ACCUM_DTYPE)
             telemetry.count("encoder.encode.batches", path="prebound")

@@ -35,7 +35,7 @@ import time
 
 import numpy as np
 
-from repro import kernels, telemetry
+from repro import telemetry
 from repro.lookhd.counters import ChunkCounters
 from repro.lookhd.encoder import LookupEncoder
 from repro.lookhd.trainer import LookHDTrainer
@@ -235,7 +235,4 @@ class ParallelTrainer(LookHDTrainer):
             "in_process": bool(stats.in_process) if stats is not None else True,
             "respawns": int(stats.respawns) if stats is not None else 0,
             "shared_bytes": shared_features.nbytes + shared_labels.nbytes,
-            # Which backend served each kernel primitive in *this* process
-            # (workers resolve independently from the same env/config).
-            "kernel_backends": kernels.active_backends(),
         }

@@ -207,7 +207,7 @@ class IntegrityGuard:
         materialised cache sweeps every byte.  Recording the digests
         forces the caches to materialise, which doubles as serving
         warm-up; the digests stay valid across legitimate rebuilds
-        (invalidation, kernel-backend switches) because rebuilds from
+        (invalidation, LRU eviction) because rebuilds from
         intact authoritative state are bit-identical.
         """
         clf = self.clf

@@ -10,7 +10,7 @@ human reads the numbers.
 
 from __future__ import annotations
 
-from numbers import Real
+from repro.utils.schema import SchemaChecks
 
 RESILIENCE_SCHEMA_VERSION = 1
 
@@ -22,27 +22,7 @@ _REQUIRED_TRUE_CHECKS = (
     "training_counters_bit_identical",
 )
 
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(f"resilience schema violation: {message}")
-
-
-def _check_number(
-    value: object,
-    message: str,
-    low: float | None = None,
-    high: float | None = None,
-) -> None:
-    _require(isinstance(value, Real) and not isinstance(value, bool), message)
-    if low is not None:
-        _require(value >= low, f"{message} (must be >= {low})")
-    if high is not None:
-        _require(value <= high, f"{message} (must be <= {high})")
-
-
-def _check_bool(value: object, message: str) -> None:
-    _require(isinstance(value, bool), message)
+_schema = SchemaChecks("resilience")
 
 
 def validate_resilience_payload(payload: object) -> dict:
@@ -52,105 +32,112 @@ def validate_resilience_payload(payload: object) -> dict:
     any failed recovery gate (a chaos run that did not detect, repair, and
     restore bit-identity does not produce a valid report).
     """
-    _require(isinstance(payload, dict), "payload must be a JSON object")
-    _require(
+    _schema.require(isinstance(payload, dict), "payload must be a JSON object")
+    _schema.require(
         payload.get("schema_version") == RESILIENCE_SCHEMA_VERSION,
         f"schema_version must be {RESILIENCE_SCHEMA_VERSION}",
     )
-    _require(payload.get("benchmark") == "resilience", "benchmark must be 'resilience'")
-    _require(
+    _schema.require(payload.get("benchmark") == "resilience", "benchmark must be 'resilience'")
+    _schema.require(
         payload.get("profile") in ("full", "smoke"),
         "profile must be 'full' or 'smoke'",
     )
 
     config = payload.get("config")
-    _require(isinstance(config, dict), "config must be an object")
+    _schema.require(isinstance(config, dict), "config must be an object")
     for field in ("dim", "levels", "chunk_size", "n_classes", "seed", "n_requests", "n_workers"):
-        _require(isinstance(config.get(field), int), f"config.{field} must be an int")
-    _check_number(config.get("fault_ber"), "config.fault_ber", low=0.0, high=1.0)
-    _require(
+        _schema.require(isinstance(config.get(field), int), f"config.{field} must be an int")
+    _schema.number(config.get("fault_ber"), "config.fault_ber", low=0.0, high=1.0)
+    _schema.require(
         isinstance(config.get("fault_target"), str), "config.fault_target must be a string"
     )
 
     environment = payload.get("environment")
-    _require(isinstance(environment, dict), "environment must be an object")
+    _schema.require(isinstance(environment, dict), "environment must be an object")
     for field in ("python", "numpy", "platform"):
-        _require(isinstance(environment.get(field), str), f"environment.{field} must be a string")
+        _schema.require(
+            isinstance(environment.get(field), str),
+            f"environment.{field} must be a string",
+        )
 
     serving = payload.get("serving")
-    _require(isinstance(serving, dict), "serving must be an object")
-    _require(isinstance(serving.get("requests"), int), "serving.requests must be an int")
-    _require(serving["requests"] >= 1, "serving.requests must be >= 1")
-    _check_number(serving.get("availability"), "serving.availability", low=0.0, high=1.0)
-    _check_bool(serving.get("detected"), "serving.detected must be a bool")
-    _check_bool(serving.get("repaired"), "serving.repaired must be a bool")
-    _check_bool(
-        serving.get("post_repair_bit_identical"),
+    _schema.require(isinstance(serving, dict), "serving must be an object")
+    _schema.require(isinstance(serving.get("requests"), int), "serving.requests must be an int")
+    _schema.require(serving["requests"] >= 1, "serving.requests must be >= 1")
+    _schema.number(serving.get("availability"), "serving.availability", low=0.0, high=1.0)
+    _schema.require(isinstance(serving.get("detected"), bool), "serving.detected must be a bool")
+    _schema.require(isinstance(serving.get("repaired"), bool), "serving.repaired must be a bool")
+    _schema.require(
+        isinstance(serving.get("post_repair_bit_identical"), bool),
         "serving.post_repair_bit_identical must be a bool",
     )
     if serving.get("detection_seconds") is not None:
-        _check_number(serving["detection_seconds"], "serving.detection_seconds", low=0.0)
+        _schema.number(serving["detection_seconds"], "serving.detection_seconds", low=0.0)
     if serving.get("repair_seconds") is not None:
-        _check_number(serving["repair_seconds"], "serving.repair_seconds", low=0.0)
+        _schema.number(serving["repair_seconds"], "serving.repair_seconds", low=0.0)
     injection = serving.get("injection")
-    _require(isinstance(injection, dict), "serving.injection must be an object")
-    _require(
+    _schema.require(isinstance(injection, dict), "serving.injection must be an object")
+    _schema.require(
         isinstance(injection.get("target"), str), "serving.injection.target must be a string"
     )
-    _require(
+    _schema.require(
         isinstance(injection.get("elements_flipped"), int)
         and injection["elements_flipped"] >= 1,
         "serving.injection.elements_flipped must be a positive int",
     )
     scrub = serving.get("scrub")
-    _require(isinstance(scrub, dict), "serving.scrub must be an object")
+    _schema.require(isinstance(scrub, dict), "serving.scrub must be an object")
     for field in ("ticks", "blocks_verified", "errors_detected", "repairs"):
-        _require(isinstance(scrub.get(field), int), f"serving.scrub.{field} must be an int")
+        _schema.require(isinstance(scrub.get(field), int), f"serving.scrub.{field} must be an int")
 
     training = payload.get("training")
-    _require(isinstance(training, dict), "training must be an object")
-    _require(isinstance(training.get("n_workers"), int), "training.n_workers must be an int")
-    _check_bool(
-        training.get("parallel_executed"), "training.parallel_executed must be a bool"
+    _schema.require(isinstance(training, dict), "training must be an object")
+    _schema.require(isinstance(training.get("n_workers"), int), "training.n_workers must be an int")
+    _schema.require(
+        isinstance(training.get("parallel_executed"), bool),
+        "training.parallel_executed must be a bool",
     )
-    _require(
+    _schema.require(
         isinstance(training.get("respawns"), int) and training["respawns"] >= 0,
         "training.respawns must be a non-negative int",
     )
-    _check_bool(
-        training.get("counters_bit_identical"),
+    _schema.require(
+        isinstance(training.get("counters_bit_identical"), bool),
         "training.counters_bit_identical must be a bool",
     )
-    _check_bool(
-        training.get("class_vectors_bit_identical"),
+    _schema.require(
+        isinstance(training.get("class_vectors_bit_identical"), bool),
         "training.class_vectors_bit_identical must be a bool",
     )
     if training["parallel_executed"]:
-        _require(
+        _schema.require(
             training["respawns"] >= 1,
             "training.respawns must be >= 1 when the worker kill actually ran "
             "(parallel_executed is true)",
         )
 
     overhead = payload.get("overhead")
-    _require(isinstance(overhead, dict), "overhead must be an object")
-    _check_number(overhead.get("baseline_seconds"), "overhead.baseline_seconds", low=0.0)
-    _check_number(
+    _schema.require(isinstance(overhead, dict), "overhead must be an object")
+    _schema.number(overhead.get("baseline_seconds"), "overhead.baseline_seconds", low=0.0)
+    _schema.number(
         overhead.get("scrub_attached_seconds"), "overhead.scrub_attached_seconds", low=0.0
     )
-    _check_number(overhead.get("overhead_fraction"), "overhead.overhead_fraction")
-    _check_number(overhead.get("budget"), "overhead.budget", low=0.0)
-    _check_bool(overhead.get("within_budget"), "overhead.within_budget must be a bool")
+    _schema.number(overhead.get("overhead_fraction"), "overhead.overhead_fraction")
+    _schema.number(overhead.get("budget"), "overhead.budget", low=0.0)
+    _schema.require(
+        isinstance(overhead.get("within_budget"), bool),
+        "overhead.within_budget must be a bool",
+    )
 
     checks = payload.get("checks")
-    _require(isinstance(checks, dict), "checks must be an object")
+    _schema.require(isinstance(checks, dict), "checks must be an object")
     for field in _REQUIRED_TRUE_CHECKS:
-        _require(
+        _schema.require(
             checks.get(field) is True,
             f"checks.{field} must be true — the chaos run did not recover",
         )
-    _check_bool(
-        checks.get("scrub_overhead_within_budget"),
+    _schema.require(
+        isinstance(checks.get("scrub_overhead_within_budget"), bool),
         "checks.scrub_overhead_within_budget must be a bool",
     )
     return payload

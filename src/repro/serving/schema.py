@@ -10,9 +10,8 @@ plausible-looking artifact.
 
 from __future__ import annotations
 
-from numbers import Real
-
 from repro.telemetry.schema import validate_snapshot
+from repro.utils.schema import SchemaChecks, is_number
 
 #: v3: ``workload.mode`` ("closed" | "open"), ``service.n_shards``, the
 #: closed-loop ``results.timeline`` block (warmup-excluded steady rps),
@@ -52,22 +51,12 @@ _ACCEPTOR_COUNT_FIELDS = (
     "dropped",
 )
 
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(f"serving schema violation: {message}")
+_schema = SchemaChecks("serving")
 
 
 def _check_positive_number(value: object, message: str) -> None:
-    _require(
-        isinstance(value, Real) and not isinstance(value, bool) and value > 0,
-        message,
-    )
-
-
-def _check_count(value: object, message: str) -> None:
-    _require(
-        isinstance(value, int) and not isinstance(value, bool) and value >= 0,
+    _schema.require(
+        is_number(value) and value > 0,
         message,
     )
 
@@ -82,53 +71,53 @@ def _validate_fleet(results: dict, checks: dict, n_tenants: int, requests: dict)
     availability 1.0 (every request answered across the flip).
     """
     fleet = results.get("fleet")
-    _require(isinstance(fleet, dict), "fleet payloads must carry results.fleet")
+    _schema.require(isinstance(fleet, dict), "fleet payloads must carry results.fleet")
     tenants = fleet.get("tenants")
-    _require(
+    _schema.require(
         isinstance(tenants, dict) and len(tenants) == n_tenants,
         f"results.fleet.tenants must describe all {n_tenants} tenants",
     )
     total_sent = 0
     for tenant, stats in tenants.items():
-        _require(isinstance(tenant, str) and tenant, "tenant names must be strings")
-        _require(isinstance(stats, dict), f"fleet.tenants[{tenant!r}] must be an object")
+        _schema.require(isinstance(tenant, str) and tenant, "tenant names must be strings")
+        _schema.require(isinstance(stats, dict), f"fleet.tenants[{tenant!r}] must be an object")
         for field in _TENANT_COUNT_FIELDS:
-            _check_count(
+            _schema.count(
                 stats.get(field), f"fleet.tenants[{tenant!r}].{field} must be a count"
             )
-        _require(
+        _schema.require(
             stats["dropped"] == 0, f"tenant {tenant!r} dropped admitted requests"
         )
-        _require(
+        _schema.require(
             stats.get("match_single") is True,
             f"tenant {tenant!r} predictions diverged from its single-model oracle",
         )
         total_sent += stats["sent"]
-    _require(
+    _schema.require(
         total_sent == requests["sent"],
         "per-tenant sent counts must sum to requests.sent",
     )
-    _require(isinstance(fleet.get("registry"), dict), "fleet.registry must be an object")
+    _schema.require(isinstance(fleet.get("registry"), dict), "fleet.registry must be an object")
 
     swap = results.get("swap")
-    _require(isinstance(swap, dict), "fleet payloads must carry results.swap")
-    _require(isinstance(swap.get("performed"), bool), "swap.performed must be a bool")
+    _schema.require(isinstance(swap, dict), "fleet payloads must carry results.swap")
+    _schema.require(isinstance(swap.get("performed"), bool), "swap.performed must be a bool")
     if swap["performed"]:
-        _require(
+        _schema.require(
             isinstance(swap.get("version_before"), int)
             and isinstance(swap.get("version_after"), int)
             and swap["version_after"] == swap["version_before"] + 1,
             "a performed swap must bump the tenant version by exactly 1",
         )
-        _require(
+        _schema.require(
             swap.get("availability") == 1.0,
             "swap availability must be 1.0 (zero-downtime gate)",
         )
-        _require(
+        _schema.require(
             checks.get("swap_zero_downtime") is True,
             "checks.swap_zero_downtime must gate true for a performed swap",
         )
-    _require(
+    _schema.require(
         checks.get("per_tenant_bit_identity") is True,
         "checks.per_tenant_bit_identity must be true",
     )
@@ -142,26 +131,26 @@ def _validate_timeline(results: dict) -> None:
     the headline excludes.
     """
     timeline = results.get("timeline")
-    _require(
+    _schema.require(
         isinstance(timeline, dict), "closed-loop payloads must carry results.timeline"
     )
     _check_positive_number(
         timeline.get("bucket_seconds"), "timeline.bucket_seconds must be positive"
     )
     buckets = timeline.get("buckets_rps")
-    _require(
+    _schema.require(
         isinstance(buckets, list) and buckets,
         "timeline.buckets_rps must be a non-empty list",
     )
     for value in buckets:
-        _require(
-            isinstance(value, Real) and not isinstance(value, bool) and value >= 0,
+        _schema.require(
+            is_number(value) and value >= 0,
             "timeline.buckets_rps entries must be numbers >= 0",
         )
-    _check_count(
+    _schema.count(
         timeline.get("warmup_buckets"), "timeline.warmup_buckets must be a count"
     )
-    _require(
+    _schema.require(
         timeline["warmup_buckets"] < len(buckets),
         "timeline.warmup_buckets must leave at least one steady bucket",
     )
@@ -172,36 +161,36 @@ def _validate_timeline(results: dict) -> None:
 def _validate_open_loop(results: dict) -> None:
     """Open-loop rate sweep: per-rate coordinated-omission-safe percentiles."""
     open_loop = results.get("open_loop")
-    _require(
+    _schema.require(
         isinstance(open_loop, dict), "open-loop payloads must carry results.open_loop"
     )
     rates = open_loop.get("rates")
-    _require(
+    _schema.require(
         isinstance(rates, list) and rates,
         "open_loop.rates must be a non-empty list of rate blocks",
     )
     for block in rates:
-        _require(isinstance(block, dict), "open_loop rate blocks must be objects")
+        _schema.require(isinstance(block, dict), "open_loop rate blocks must be objects")
         _check_positive_number(block.get("rate"), "rate blocks need a positive rate")
         _check_positive_number(
             block.get("achieved_rps"), "rate blocks need a positive achieved_rps"
         )
-        _check_count(block.get("requests"), "rate blocks need a requests count")
-        _require(block["requests"] > 0, "rate blocks must cover >= 1 request")
+        _schema.count(block.get("requests"), "rate blocks need a requests count")
+        _schema.require(block["requests"] > 0, "rate blocks must cover >= 1 request")
         lag = block.get("max_lag_seconds")
-        _require(
-            isinstance(lag, Real) and not isinstance(lag, bool) and lag >= 0,
+        _schema.require(
+            is_number(lag) and lag >= 0,
             "rate blocks need max_lag_seconds >= 0",
         )
         latency = block.get("latency_seconds")
-        _require(isinstance(latency, dict), "rate blocks need latency_seconds")
+        _schema.require(isinstance(latency, dict), "rate blocks need latency_seconds")
         for field in _OPEN_LOOP_LATENCY_FIELDS:
             value = latency.get(field)
-            _require(
-                isinstance(value, Real) and not isinstance(value, bool) and value >= 0,
+            _schema.require(
+                is_number(value) and value >= 0,
                 f"open-loop latency_seconds.{field} must be a number >= 0",
             )
-        _require(
+        _schema.require(
             latency["p50"] <= latency["p90"] <= latency["p99"] <= latency["p999"]
             <= latency["max"],
             "open-loop latency percentiles must be ordered",
@@ -212,33 +201,33 @@ def _validate_sharding(results: dict, checks: dict, n_shards: int) -> None:
     """Sharded-run gates: acceptor accounting balances, bit-identity holds,
     and a chaos kill (when performed) recovered with availability 1.0."""
     sharding = results.get("sharding")
-    _require(
+    _schema.require(
         isinstance(sharding, dict), "sharded payloads must carry results.sharding"
     )
     acceptor = sharding.get("acceptor")
-    _require(isinstance(acceptor, dict), "sharding.acceptor must be an object")
+    _schema.require(isinstance(acceptor, dict), "sharding.acceptor must be an object")
     for field in _ACCEPTOR_COUNT_FIELDS:
-        _check_count(acceptor.get(field), f"sharding.acceptor.{field} must be a count")
-    _require(acceptor["dropped"] == 0, "the acceptor dropped forwarded requests")
-    _require(
+        _schema.count(acceptor.get(field), f"sharding.acceptor.{field} must be a count")
+    _schema.require(acceptor["dropped"] == 0, "the acceptor dropped forwarded requests")
+    _schema.require(
         checks.get("shard_outputs_match") is True,
         "sharded predictions diverged from single-process serving",
     )
     chaos = sharding.get("chaos")
-    _require(isinstance(chaos, dict), "sharding.chaos must be an object")
-    _require(isinstance(chaos.get("performed"), bool), "chaos.performed must be a bool")
+    _schema.require(isinstance(chaos, dict), "sharding.chaos must be an object")
+    _schema.require(isinstance(chaos.get("performed"), bool), "chaos.performed must be a bool")
     if chaos["performed"]:
-        _check_count(chaos.get("shard"), "chaos.shard must be a shard index")
-        _require(chaos["shard"] < n_shards, "chaos.shard must be a valid shard index")
-        _require(
+        _schema.count(chaos.get("shard"), "chaos.shard must be a shard index")
+        _schema.require(chaos["shard"] < n_shards, "chaos.shard must be a valid shard index")
+        _schema.require(
             acceptor["respawns"] >= 1,
             "a performed chaos kill must be answered by >= 1 respawn",
         )
-        _require(
+        _schema.require(
             chaos.get("availability") == 1.0,
             "chaos availability must be 1.0 (every request answered across the kill)",
         )
-        _require(
+        _schema.require(
             checks.get("shard_recovery") is True,
             "checks.shard_recovery must gate true for a performed chaos kill",
         )
@@ -249,48 +238,50 @@ def validate_serving_payload(payload: object) -> dict:
 
     Raises ``ValueError`` describing the first violation found.
     """
-    _require(isinstance(payload, dict), "payload must be a JSON object")
-    _require(
+    _schema.require(isinstance(payload, dict), "payload must be a JSON object")
+    _schema.require(
         payload.get("schema_version") == SERVING_SCHEMA_VERSION,
         f"schema_version must be {SERVING_SCHEMA_VERSION}",
     )
-    _require(payload.get("benchmark") == "serving", "benchmark must be 'serving'")
+    _schema.require(payload.get("benchmark") == "serving", "benchmark must be 'serving'")
 
     workload = payload.get("workload")
-    _require(isinstance(workload, dict), "workload must be an object")
+    _schema.require(isinstance(workload, dict), "workload must be an object")
     for field in _WORKLOAD_INT_FIELDS:
-        _require(
+        _schema.require(
             isinstance(workload.get(field), int) and not isinstance(workload[field], bool),
             f"workload.{field} must be an int",
         )
     mode = workload.get("mode")
-    _require(mode in MODES, f"workload.mode must be one of {MODES}")
+    _schema.require(mode in MODES, f"workload.mode must be one of {MODES}")
 
     service = payload.get("service")
-    _require(isinstance(service, dict), "service must be an object")
+    _schema.require(isinstance(service, dict), "service must be an object")
     for field in ("max_batch", "max_queue_depth", "n_shards"):
         _check_positive_number(service.get(field), f"service.{field} must be positive")
-        _require(isinstance(service[field], int), f"service.{field} must be an int")
+        _schema.require(isinstance(service[field], int), f"service.{field} must be an int")
     _check_positive_number(service.get("max_wait_ms"), "service.max_wait_ms must be positive")
-    _require(
+    _schema.require(
         isinstance(service.get("fused_active"), bool), "service.fused_active must be a bool"
     )
 
     results = payload.get("results")
-    _require(isinstance(results, dict), "results must be an object")
+    _schema.require(isinstance(results, dict), "results must be an object")
     for field in ("throughput_rps", "sequential_rps", "speedup_vs_sequential"):
         _check_positive_number(results.get(field), f"results.{field} must be positive")
 
     latency = results.get("latency_seconds")
-    _require(isinstance(latency, dict), "results.latency_seconds must be an object")
+    _schema.require(isinstance(latency, dict), "results.latency_seconds must be an object")
     for field in _LATENCY_FIELDS:
         value = latency.get(field)
-        _require(
-            isinstance(value, Real) and not isinstance(value, bool) and value >= 0,
+        _schema.require(
+            is_number(value) and value >= 0,
             f"latency_seconds.{field} must be a number >= 0",
         )
-    _require(latency["p50"] <= latency["p99"] <= latency["max"],
-             "latency percentiles must be ordered: p50 <= p99 <= max")
+    _schema.require(
+        latency["p50"] <= latency["p99"] <= latency["max"],
+        "latency percentiles must be ordered: p50 <= p99 <= max",
+    )
 
     if mode == "closed":
         # Batch/flush accounting comes from the one in-process service a
@@ -298,19 +289,21 @@ def validate_serving_payload(payload: object) -> dict:
         # per shard process and reports per-shard blocks via health
         # instead.
         batches = results.get("batches")
-        _require(isinstance(batches, dict), "results.batches must be an object")
+        _schema.require(isinstance(batches, dict), "results.batches must be an object")
         _check_positive_number(batches.get("count"), "batches.count must be positive")
-        _require(isinstance(batches["count"], int), "batches.count must be an int")
+        _schema.require(isinstance(batches["count"], int), "batches.count must be an int")
         _check_positive_number(batches.get("mean_size"), "batches.mean_size must be positive")
         _check_positive_number(batches.get("max_size"), "batches.max_size must be positive")
 
         flush_reasons = results.get("flush_reasons")
-        _require(isinstance(flush_reasons, dict) and flush_reasons,
-                 "results.flush_reasons must be a non-empty object")
+        _schema.require(
+            isinstance(flush_reasons, dict) and flush_reasons,
+            "results.flush_reasons must be a non-empty object",
+        )
         for reason, count in flush_reasons.items():
-            _require(isinstance(reason, str), "flush reasons must be strings")
-            _check_count(count, f"flush_reasons[{reason!r}] must be a count")
-        _require(
+            _schema.require(isinstance(reason, str), "flush reasons must be strings")
+            _schema.count(count, f"flush_reasons[{reason!r}] must be a count")
+        _schema.require(
             sum(flush_reasons.values()) == batches["count"],
             "flush_reasons must sum to batches.count",
         )
@@ -319,40 +312,40 @@ def validate_serving_payload(payload: object) -> dict:
         _validate_open_loop(results)
 
     requests = results.get("requests")
-    _require(isinstance(requests, dict), "results.requests must be an object")
+    _schema.require(isinstance(requests, dict), "results.requests must be an object")
     for field in _REQUEST_FIELDS:
-        _check_count(requests.get(field), f"requests.{field} must be a count")
+        _schema.count(requests.get(field), f"requests.{field} must be a count")
     if mode == "closed":
-        _require(
+        _schema.require(
             requests["sent"] == workload["n_requests"],
             "requests.sent must equal workload.n_requests",
         )
     else:
         n_rates = len(results["open_loop"]["rates"])
-        _require(
+        _schema.require(
             requests["sent"] == workload["n_requests"] * n_rates,
             "requests.sent must equal workload.n_requests x swept rates",
         )
-    _require(
+    _schema.require(
         requests["completed"] == requests["sent"],
         "every sent request must complete (requests.completed == requests.sent)",
     )
 
     checks = payload.get("checks")
-    _require(isinstance(checks, dict), "checks must be an object")
-    _require(
+    _schema.require(isinstance(checks, dict), "checks must be an object")
+    _schema.require(
         checks.get("predictions_match_single") is True,
         "microbatched predictions diverged from single-request predict",
     )
-    _require(checks.get("zero_dropped") is True, "admitted requests were dropped")
-    _require(requests["dropped"] == 0, "requests.dropped must be 0")
+    _schema.require(checks.get("zero_dropped") is True, "admitted requests were dropped")
+    _schema.require(requests["dropped"] == 0, "requests.dropped must be 0")
 
     if service["n_shards"] > 1:
         _validate_sharding(results, checks, service["n_shards"])
 
     n_tenants = workload["n_tenants"]
-    _require(n_tenants >= 1, "workload.n_tenants must be >= 1")
-    _require(
+    _schema.require(n_tenants >= 1, "workload.n_tenants must be >= 1")
+    _schema.require(
         isinstance(workload.get("scenario"), str) and workload["scenario"],
         "workload.scenario must be a non-empty string",
     )
@@ -360,15 +353,15 @@ def validate_serving_payload(payload: object) -> dict:
         _validate_fleet(results, checks, n_tenants, requests)
 
     environment = payload.get("environment")
-    _require(isinstance(environment, dict), "environment must be an object")
+    _schema.require(isinstance(environment, dict), "environment must be an object")
     for field in ("python", "numpy", "platform"):
-        _require(
+        _schema.require(
             isinstance(environment.get(field), str), f"environment.{field} must be a string"
         )
 
-    _require("telemetry" in payload, "payload must embed a telemetry snapshot")
+    _schema.require("telemetry" in payload, "payload must embed a telemetry snapshot")
     try:
         validate_snapshot(payload["telemetry"])
     except ValueError as error:
-        _require(False, f"telemetry block invalid: {error}")
+        _schema.require(False, f"telemetry block invalid: {error}")
     return payload

@@ -55,6 +55,13 @@ human-readable ``detail``:
   (:class:`~repro.resilience.retry.DeadlineExceededError`); the model
   never ran for it.
 * ``closed`` — the service stopped while the request was in flight.
+* ``too_large`` — the request line overran :data:`LINE_LIMIT`; it is
+  answered (``"id": null``, the line is never parsed) and the connection
+  is closed.
+
+Every error response is counted by code in :attr:`ServingServer.errors`
+(reported as ``errors`` by the ``health`` op), so any line a client can
+send is either answered with a result or accounted as an error.
 
 Every connection shares the one microbatcher, so concurrent clients are
 exactly what fills its batches.  A client that disconnects with a
@@ -73,6 +80,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from collections import Counter
 
 from repro import telemetry
 from repro.lookhd.persistence import ArtifactError, load_classifier
@@ -84,6 +92,47 @@ from repro.serving.service import (
     ServiceOverloadedError,
     UpdateNotSupportedError,
 )
+
+#: Longest request line, in bytes, that any NDJSON endpoint reads: the
+#: servers, the sharded acceptor, and both ends of its shard links.
+#: asyncio's default of 64 KiB cannot carry a 64-row ``partial_fit`` at
+#: n=100 (~130 KB of JSON); 4 MiB fits batches many times that size while
+#: keeping per-connection memory bounded.
+LINE_LIMIT = 4 * 1024 * 1024
+
+
+async def read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """Read one line: ``b""`` at EOF, ``None`` if it overran :data:`LINE_LIMIT`.
+
+    An over-limit line is discarded through its newline (or EOF) in
+    buffer-sized pieces, so memory stays bounded and the peer can still
+    be answered before the connection is closed.  A final line without
+    a newline is returned as is, like ``StreamReader.readline``.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as error:
+        return error.partial
+    except asyncio.LimitOverrunError as error:
+        consumed = error.consumed
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as error:
+            consumed = error.consumed
+
+
+def too_large_response() -> dict:
+    """The answer to a line over :data:`LINE_LIMIT` (never parsed, so no id)."""
+    return {
+        "id": None,
+        "error": "too_large",
+        "detail": f"request line exceeds {LINE_LIMIT} bytes",
+    }
 
 
 class ServingServer:
@@ -146,6 +195,9 @@ class ServingServer:
         #: written.  The prediction itself still completed (the service
         #: drains normally); only the response had nobody to go to.
         self.cancelled = 0
+        #: Error responses written, by error code (``invalid``,
+        #: ``too_large``, ``overloaded``, …).
+        self.errors: Counter[str] = Counter()
         self._requested_port = port
         self._server: asyncio.AbstractServer | None = None
         self._scrub_task: asyncio.Task | None = None
@@ -160,7 +212,7 @@ class ServingServer:
     async def start(self) -> "ServingServer":
         await self.service.start()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port
+            self._handle_connection, self.host, self._requested_port, limit=LINE_LIMIT
         )
         if self.scrubber is not None and self._scrub_task is None:
             self._scrub_task = asyncio.get_running_loop().create_task(
@@ -218,6 +270,7 @@ class ServingServer:
             "queue_depth": self.service.queue_depth,
             "requests": self.service.request_stats(),
             "cancelled": self.cancelled,
+            "errors": dict(self.errors),
             "scrub": scrub,
         }
         if self.service.registry is not None:
@@ -238,7 +291,7 @@ class ServingServer:
 
     async def _write_answer(
         self,
-        line: bytes,
+        line: bytes | None,
         writer: asyncio.StreamWriter,
         lock: asyncio.Lock,
     ) -> None:
@@ -269,12 +322,14 @@ class ServingServer:
         loop = asyncio.get_running_loop()
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await read_line(reader)
+                if line == b"":
                     break
                 task = loop.create_task(self._write_answer(line, writer, lock))
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
+                if line is None:
+                    break  # answered too_large; close once it is written
         finally:
             # Drain in-flight answers before closing: a half-closed peer
             # (EOF seen, connection writable) still gets every response
@@ -291,8 +346,8 @@ class ServingServer:
                 await self._handle_pipelined(reader, writer)
                 return
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await read_line(reader)
+                if line == b"":
                     break
                 response = await self._answer(line)
                 # A peer that closed while its request was in flight sends
@@ -309,6 +364,8 @@ class ServingServer:
                 except (ConnectionResetError, BrokenPipeError, OSError):
                     self._account_cancelled()
                     break
+                if line is None:
+                    break  # answered too_large; close the connection
         except (ConnectionResetError, BrokenPipeError, OSError):
             # Disconnect between requests: nothing was in flight.
             pass
@@ -405,7 +462,14 @@ class ServingServer:
             response["tenant"] = tenant
         return response
 
-    async def _answer(self, line: bytes) -> dict:
+    async def _answer(self, line: bytes | None) -> dict:
+        """Answer one line (``None``: it overran the limit), counting errors."""
+        response = too_large_response() if line is None else await self._dispatch(line)
+        if "error" in response:
+            self.errors[response["error"]] += 1
+        return response
+
+    async def _dispatch(self, line: bytes) -> dict:
         request_id = None
         try:
             request = json.loads(line)

@@ -55,8 +55,12 @@ Design points, in the order they matter:
   and restores the client's own ids on the way back).
   :class:`PipelinedClient` is the matching client, used by the open-loop
   load generator and the tests.  Parent-level failures answer with the
-  ``unavailable`` error code; everything a shard answers (``overloaded``,
-  ``unknown_tenant``, ``deadline``, …) is forwarded verbatim.
+  ``unavailable`` error code, a line over
+  :data:`~repro.serving.server.LINE_LIMIT` with ``too_large`` (then the
+  connection closes), and a malformed line with ``invalid``.
+  Everything a shard answers (``overloaded``, ``unknown_tenant``,
+  ``deadline``, …) is forwarded verbatim.  The acceptor counts every
+  error it answers by code, reported as ``errors`` by ``health``.
 
 * **Per-shard scrubbing.**  Each shard co-hosts its own
   :class:`~repro.resilience.integrity.FleetScrubber` over its registry
@@ -76,7 +80,7 @@ import queue as queue_module
 import signal
 import time
 import zlib
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 from repro import telemetry
 from repro.parallel.executor import (
@@ -91,6 +95,7 @@ from repro.serving.service import (
     MicrobatchConfig,
     ServingError,
 )
+from repro.serving.server import LINE_LIMIT, read_line, too_large_response
 from repro.utils.validation import check_positive_int
 
 #: How long to wait for a shard to report its bound port before its
@@ -321,6 +326,9 @@ class ShardedServer:
         self.retried = 0
         self.respawns = 0
         self.cancelled = 0
+        #: Error responses written to clients, by error code (shard
+        #: answers forwarded verbatim included).
+        self.errors: Counter[str] = Counter()
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -356,7 +364,7 @@ class ShardedServer:
                 await self._connect(link)
                 link.ready.set()
             self._server = await asyncio.start_server(
-                self._handle_client, self.host, self._requested_port
+                self._handle_client, self.host, self._requested_port, limit=LINE_LIMIT
             )
         except BaseException:
             self._running = False
@@ -493,7 +501,9 @@ class ShardedServer:
         return ports
 
     async def _connect(self, link: _ShardLink) -> None:
-        reader, writer = await asyncio.open_connection(self.host, link.port)
+        reader, writer = await asyncio.open_connection(
+            self.host, link.port, limit=LINE_LIMIT
+        )
         link.reader = reader
         link.writer = writer
         link.reader_task = self._loop.create_task(
@@ -504,9 +514,11 @@ class ShardedServer:
         """Demultiplex one shard connection: resolve pending by id."""
         try:
             while True:
-                line = await link.reader.readline()
-                if not line:
+                line = await read_line(link.reader)
+                if line == b"":
                     break
+                if line is None:
+                    continue
                 try:
                     message = json.loads(line)
                 except json.JSONDecodeError:
@@ -770,12 +782,20 @@ class ShardedServer:
             "n_shards": self.n_shards,
             "tenants": self.tenants(),
             "requests": self.request_stats(),
+            "errors": dict(self.errors),
             "shards": shards,
         }
 
     # -- connection handling ---------------------------------------------------
 
-    async def _answer(self, line: bytes) -> dict:
+    async def _answer(self, line: bytes | None) -> dict:
+        """Answer one line (``None``: it overran the limit), counting errors."""
+        response = too_large_response() if line is None else await self._dispatch(line)
+        if "error" in response:
+            self.errors[response["error"]] += 1
+        return response
+
+    async def _dispatch(self, line: bytes) -> dict:
         request_id = None
         try:
             request = json.loads(line)
@@ -801,7 +821,7 @@ class ShardedServer:
             return {"id": request_id, "error": "invalid", "detail": str(error)}
 
     async def _respond(
-        self, line: bytes, writer: asyncio.StreamWriter, lock: asyncio.Lock
+        self, line: bytes | None, writer: asyncio.StreamWriter, lock: asyncio.Lock
     ) -> None:
         response = await self._answer(line)
         async with lock:
@@ -823,12 +843,14 @@ class ShardedServer:
         tasks: set[asyncio.Task] = set()
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await read_line(reader)
+                if line == b"":
                     break
                 task = self._loop.create_task(self._respond(line, writer, lock))
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
+                if line is None:
+                    break  # answered too_large; close once it is written
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass
         except asyncio.CancelledError:
@@ -889,15 +911,17 @@ class PipelinedClient:
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "PipelinedClient":
-        reader, writer = await asyncio.open_connection(host, port)
+        reader, writer = await asyncio.open_connection(host, port, limit=LINE_LIMIT)
         return cls(reader, writer)
 
     async def _read_loop(self) -> None:
         try:
             while True:
-                line = await self._reader.readline()
-                if not line:
+                line = await read_line(self._reader)
+                if line == b"":
                     break
+                if line is None:
+                    continue
                 try:
                     message = json.loads(line)
                 except json.JSONDecodeError:

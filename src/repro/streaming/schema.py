@@ -13,9 +13,8 @@ plausible-looking artifact.
 
 from __future__ import annotations
 
-from numbers import Real
-
 from repro.telemetry.schema import validate_snapshot
+from repro.utils.schema import SchemaChecks
 
 STREAMING_SCHEMA_VERSION = 1
 
@@ -38,35 +37,21 @@ _WORKLOAD_INT_FIELDS = (
 _MODES = ("incremental", "abrupt")
 _SKETCH_INT_FIELDS = ("capacity", "n", "retained", "levels", "compactions", "max_rank_error")
 
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(f"streaming schema violation: {message}")
-
-
-def _check_number(value: object, message: str) -> None:
-    _require(isinstance(value, Real) and not isinstance(value, bool), message)
-
-
-def _check_count(value: object, message: str) -> None:
-    _require(
-        isinstance(value, int) and not isinstance(value, bool) and value >= 0,
-        message,
-    )
+_schema = SchemaChecks("streaming")
 
 
 def _check_fraction(value: object, message: str) -> None:
-    _check_number(value, message)
-    _require(0.0 <= value <= 1.0, message)
+    _schema.number(value, message)
+    _schema.require(0.0 <= value <= 1.0, message)
 
 
 def _validate_mode(name: str, mode: object, workload: dict) -> None:
-    _require(isinstance(mode, dict), f"modes.{name} must be an object")
+    _schema.require(isinstance(mode, dict), f"modes.{name} must be an object")
     accuracy = mode.get("accuracy")
-    _require(isinstance(accuracy, dict), f"modes.{name}.accuracy must be an object")
+    _schema.require(isinstance(accuracy, dict), f"modes.{name}.accuracy must be an object")
     for series in ("streaming", "oracle"):
         values = accuracy.get(series)
-        _require(
+        _schema.require(
             isinstance(values, list) and len(values) == workload["n_batches"],
             f"modes.{name}.accuracy.{series} must list one value per batch",
         )
@@ -74,15 +59,15 @@ def _validate_mode(name: str, mode: object, workload: dict) -> None:
             _check_fraction(
                 value, f"modes.{name}.accuracy.{series} entries must be in [0, 1]"
             )
-    _check_count(mode.get("tail_batches"), f"modes.{name}.tail_batches must be a count")
-    _require(
+    _schema.count(mode.get("tail_batches"), f"modes.{name}.tail_batches must be a count")
+    _schema.require(
         0 < mode["tail_batches"] <= workload["n_batches"],
         f"modes.{name}.tail_batches must be in (0, n_batches]",
     )
     for field in ("streaming_tail_accuracy", "oracle_tail_accuracy"):
         _check_fraction(mode.get(field), f"modes.{name}.{field} must be in [0, 1]")
-    _check_number(mode.get("recovery_gap"), f"modes.{name}.recovery_gap must be a number")
-    _require(
+    _schema.number(mode.get("recovery_gap"), f"modes.{name}.recovery_gap must be a number")
+    _schema.require(
         abs(
             mode["recovery_gap"]
             - (mode["oracle_tail_accuracy"] - mode["streaming_tail_accuracy"])
@@ -92,31 +77,31 @@ def _validate_mode(name: str, mode: object, workload: dict) -> None:
     )
     divergence = mode.get("boundary_divergence")
     bound = mode.get("divergence_bound")
-    _check_number(divergence, f"modes.{name}.boundary_divergence must be a number")
-    _require(divergence >= 0, f"modes.{name}.boundary_divergence must be >= 0")
-    _check_number(bound, f"modes.{name}.divergence_bound must be a number")
-    _require(bound > 0, f"modes.{name}.divergence_bound must be positive")
-    _require(
+    _schema.number(divergence, f"modes.{name}.boundary_divergence must be a number")
+    _schema.require(divergence >= 0, f"modes.{name}.boundary_divergence must be >= 0")
+    _schema.number(bound, f"modes.{name}.divergence_bound must be a number")
+    _schema.require(bound > 0, f"modes.{name}.divergence_bound must be positive")
+    _schema.require(
         divergence <= bound,
         f"modes.{name}: streaming boundary placement diverged beyond the "
         f"sketch error guarantee ({divergence} > {bound})",
     )
     sketch = mode.get("sketch")
-    _require(isinstance(sketch, dict), f"modes.{name}.sketch must be an object")
+    _schema.require(isinstance(sketch, dict), f"modes.{name}.sketch must be an object")
     for field in _SKETCH_INT_FIELDS:
-        _check_count(sketch.get(field), f"modes.{name}.sketch.{field} must be a count")
-    _check_number(
+        _schema.count(sketch.get(field), f"modes.{name}.sketch.{field} must be a count")
+    _schema.number(
         sketch.get("rank_error_bound"),
         f"modes.{name}.sketch.rank_error_bound must be a number",
     )
-    _require(
+    _schema.require(
         sketch["capacity"] == workload["sketch_capacity"],
         f"modes.{name}.sketch.capacity must match workload.sketch_capacity",
     )
-    _check_count(
+    _schema.count(
         mode.get("quantizer_version"), f"modes.{name}.quantizer_version must be a count"
     )
-    _require(
+    _schema.require(
         mode["quantizer_version"] >= 1,
         f"modes.{name}.quantizer_version must be >= 1 (boundaries never learned?)",
     )
@@ -127,30 +112,30 @@ def validate_streaming_payload(payload: object) -> dict:
 
     Raises ``ValueError`` describing the first violation found.
     """
-    _require(isinstance(payload, dict), "payload must be a JSON object")
-    _require(
+    _schema.require(isinstance(payload, dict), "payload must be a JSON object")
+    _schema.require(
         payload.get("schema_version") == STREAMING_SCHEMA_VERSION,
         f"schema_version must be {STREAMING_SCHEMA_VERSION}",
     )
-    _require(payload.get("benchmark") == "streaming", "benchmark must be 'streaming'")
+    _schema.require(payload.get("benchmark") == "streaming", "benchmark must be 'streaming'")
 
     workload = payload.get("workload")
-    _require(isinstance(workload, dict), "workload must be an object")
+    _schema.require(isinstance(workload, dict), "workload must be an object")
     for field in _WORKLOAD_INT_FIELDS:
-        _require(
+        _schema.require(
             isinstance(workload.get(field), int) and not isinstance(workload[field], bool),
             f"workload.{field} must be an int",
         )
-    _check_number(workload.get("drift_magnitude"), "workload.drift_magnitude must be a number")
-    _require(workload["drift_magnitude"] >= 0, "workload.drift_magnitude must be >= 0")
-    _check_number(workload.get("decay"), "workload.decay must be a number")
-    _require(0.0 < workload["decay"] <= 1.0, "workload.decay must be in (0, 1]")
+    _schema.number(workload.get("drift_magnitude"), "workload.drift_magnitude must be a number")
+    _schema.require(workload["drift_magnitude"] >= 0, "workload.drift_magnitude must be >= 0")
+    _schema.number(workload.get("decay"), "workload.decay must be a number")
+    _schema.require(0.0 < workload["decay"] <= 1.0, "workload.decay must be in (0, 1]")
 
     modes = payload.get("modes")
-    _require(isinstance(modes, dict), "modes must be an object")
+    _schema.require(isinstance(modes, dict), "modes must be an object")
     for name in _MODES:
         _validate_mode(name, modes.get(name), workload)
-    _require(
+    _schema.require(
         modes["abrupt"]["recovery_gap"] <= RECOVERY_TOLERANCE,
         "streaming learner failed to recover to within "
         f"{RECOVERY_TOLERANCE:.0%} of the full-pass oracle after abrupt drift "
@@ -158,49 +143,49 @@ def validate_streaming_payload(payload: object) -> dict:
     )
 
     serving = payload.get("serving")
-    _require(isinstance(serving, dict), "serving must be an object")
+    _schema.require(isinstance(serving, dict), "serving must be an object")
     for field in ("updates", "predicts", "dropped"):
-        _check_count(serving.get(field), f"serving.{field} must be a count")
-    _require(serving["updates"] >= 1, "serving.updates must be >= 1")
-    _require(serving["predicts"] >= 1, "serving.predicts must be >= 1")
-    _require(serving["dropped"] == 0, "live partial_fit dropped admitted requests")
+        _schema.count(serving.get(field), f"serving.{field} must be a count")
+    _schema.require(serving["updates"] >= 1, "serving.updates must be >= 1")
+    _schema.require(serving["predicts"] >= 1, "serving.predicts must be >= 1")
+    _schema.require(serving["dropped"] == 0, "live partial_fit dropped admitted requests")
     flush_reasons = serving.get("flush_reasons")
-    _require(
+    _schema.require(
         isinstance(flush_reasons, dict) and flush_reasons,
         "serving.flush_reasons must be a non-empty object",
     )
     for reason, count in flush_reasons.items():
-        _require(isinstance(reason, str), "flush reasons must be strings")
-        _check_count(count, f"serving.flush_reasons[{reason!r}] must be a count")
-    _require(
+        _schema.require(isinstance(reason, str), "flush reasons must be strings")
+        _schema.count(count, f"serving.flush_reasons[{reason!r}] must be a count")
+    _schema.require(
         flush_reasons.get("update") == serving["updates"],
         "serving.flush_reasons['update'] must equal serving.updates",
     )
-    _require(
+    _schema.require(
         serving.get("live_matches_offline") is True,
         "live-served model diverged from the offline sequential replica",
     )
 
     checks = payload.get("checks")
-    _require(isinstance(checks, dict), "checks must be an object")
+    _schema.require(isinstance(checks, dict), "checks must be an object")
     for gate in (
         "abrupt_recovery_within_tolerance",
         "divergence_within_bound",
         "serving_zero_dropped",
         "serving_live_bit_identity",
     ):
-        _require(checks.get(gate) is True, f"checks.{gate} must be true")
+        _schema.require(checks.get(gate) is True, f"checks.{gate} must be true")
 
     environment = payload.get("environment")
-    _require(isinstance(environment, dict), "environment must be an object")
+    _schema.require(isinstance(environment, dict), "environment must be an object")
     for field in ("python", "numpy", "platform"):
-        _require(
+        _schema.require(
             isinstance(environment.get(field), str), f"environment.{field} must be a string"
         )
 
-    _require("telemetry" in payload, "payload must embed a telemetry snapshot")
+    _schema.require("telemetry" in payload, "payload must embed a telemetry snapshot")
     try:
         validate_snapshot(payload["telemetry"])
     except ValueError as error:
-        _require(False, f"telemetry block invalid: {error}")
+        _schema.require(False, f"telemetry block invalid: {error}")
     return payload

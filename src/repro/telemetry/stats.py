@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import kernels, telemetry
+from repro import telemetry
 from repro.datasets.synthetic import SyntheticSpec, make_synthetic_classification
 from repro.lookhd.classifier import LookHDClassifier, LookHDConfig
 from repro.lookhd.inference import FusedFallbackWarning
@@ -137,9 +137,6 @@ def run_stats_workload(workload: StatsWorkload | None = None) -> dict:
         "workload": workload.config_dict(),
         "environment": _environment(),
         "telemetry": snapshot,
-        # Which kernel backend actually served the workload above — the
-        # dispatch counters in the snapshot only make sense alongside it.
-        "kernels": kernels.describe(),
     }
     return validate_stats_payload(payload)
 
@@ -227,16 +224,6 @@ def write_stats_file(
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    kernels_block = payload["kernels"]
-    backends = sorted(set(kernels_block["active"].values())) or ["numpy"]
-    print(
-        f"[stats] kernel backends: {', '.join(backends)} "
-        f"(mode={kernels_block['mode']}, "
-        f"numba_available={kernels_block['numba_available']})",
-        file=stream,
-    )
-    for op, backend in sorted(kernels_block["active"].items()):
-        print(f"[stats] kernels.active_backends[{op}] = {backend}", file=stream)
     counters = payload["telemetry"]["counters"]
     for name in sorted(counters):
         print(f"[stats] {name} = {counters[name]}", file=stream)

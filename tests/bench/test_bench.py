@@ -1,6 +1,7 @@
 """Perf-harness tests: smoke-run the bench, validate schema, pin determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +133,14 @@ class TestSchemaValidator:
         with pytest.raises(ValueError):
             validate_bench_payload(inference_payload, "training")
 
+    def test_committed_inference_artifact_validates(self):
+        # The committed artifact keeps a historical top-level ``kernels``
+        # block; unknown top-level keys are ignored by the validator.
+        path = Path(__file__).resolve().parents[2] / "BENCH_inference.json"
+        payload = json.loads(path.read_text())
+        assert "kernels" in payload
+        validate_bench_payload(payload, "inference")
+
 
 class TestWriteFiles:
     def test_writes_schema_valid_files(self, tmp_path, capsys):
@@ -143,64 +152,3 @@ class TestWriteFiles:
         validate_bench_payload(json.loads(training_path.read_text()), "training")
         validate_bench_payload(json.loads(inference_path.read_text()), "inference")
 
-
-class TestKernelsBlock:
-    @pytest.fixture(scope="class")
-    def kernels_payload(self, inference_payload):
-        from repro.bench.kernel_bench import build_kernels_block
-
-        payload = json.loads(json.dumps(inference_payload))  # deep copy
-        payload["kernels"] = build_kernels_block(TINY[0], repeats=1)
-        return payload
-
-    def test_block_schema_valid_and_gated(self, kernels_payload):
-        from repro.kernels.reference import OP_NAMES
-
-        validate_bench_payload(kernels_payload, "inference")
-        block = kernels_payload["kernels"]
-        assert set(block["primitives"]) == set(OP_NAMES)
-        assert block["checks"]["kernel_outputs_match"] is True
-        for primitive in block["primitives"].values():
-            assert primitive["bit_identical"] is True
-            assert "numpy" in primitive["backends"]
-            assert primitive["speedup_vs_numpy"] >= 0
-
-    def test_block_is_json_serialisable(self, kernels_payload):
-        json.dumps(kernels_payload)
-
-    def test_rejects_diverged_kernel(self, kernels_payload):
-        bad = json.loads(json.dumps(kernels_payload))
-        op = next(iter(bad["kernels"]["primitives"]))
-        bad["kernels"]["primitives"][op]["bit_identical"] = False
-        with pytest.raises(ValueError, match="bit_identical"):
-            validate_bench_payload(bad, "inference")
-
-    def test_rejects_failed_outputs_match_check(self, kernels_payload):
-        bad = json.loads(json.dumps(kernels_payload))
-        bad["kernels"]["checks"]["kernel_outputs_match"] = False
-        with pytest.raises(ValueError, match="kernel_outputs_match"):
-            validate_bench_payload(bad, "inference")
-
-    def test_rejects_missing_numpy_reference_timing(self, kernels_payload):
-        bad = json.loads(json.dumps(kernels_payload))
-        op = next(iter(bad["kernels"]["primitives"]))
-        del bad["kernels"]["primitives"][op]["backends"]["numpy"]
-        with pytest.raises(ValueError, match="numpy reference"):
-            validate_bench_payload(bad, "inference")
-
-    def test_rejects_kernels_block_on_training_payload(self, training_payload):
-        from repro.bench.kernel_bench import build_kernels_block
-
-        bad = json.loads(json.dumps(training_payload))
-        bad["kernels"] = build_kernels_block(TINY[0], repeats=1)
-        with pytest.raises(ValueError, match="inference payload only"):
-            validate_bench_payload(bad, "training")
-
-    def test_kernel_profile_embeds_block(self, tmp_path, capsys):
-        from repro.bench.runner import run_bench_profile
-
-        training, inference = run_bench_profile("kernels-smoke", repeats=1)
-        assert inference is not None and "kernels" in inference
-        validate_bench_payload(inference, "inference")
-        assert inference["kernels"]["checks"]["kernel_outputs_match"] is True
-        assert training is not None and "kernels" not in training

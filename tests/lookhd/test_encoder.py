@@ -133,50 +133,3 @@ class TestEncoderPickling:
         assert clone.prebound_table is None or isinstance(clone.prebound_table, np.ndarray)
         assert np.array_equal(clone.encode(batch), encoder.encode(batch))
 
-
-class TestPreboundBackendInvalidation:
-    def test_backend_switch_invalidates_prebound_cache(self):
-        # The pre-bound table is backend-derived state: a kernel backend
-        # switch must rebuild it (same version-counter idiom as the
-        # model/codebook caches), and encodes must stay bit-identical
-        # across the switch.
-        from repro import kernels
-
-        mode = kernels.current_mode()
-        try:
-            encoder = make_encoder()
-            batch = np.random.default_rng(13).random((6, 12))
-            expected = encoder.encode(batch)
-            first = encoder.prebound_table
-            assert first is not None
-            assert encoder.prebound_table is first  # cached while backend stable
-            kernels.set_backend("numpy")
-            second = encoder.prebound_table
-            assert second is not first  # switch invalidated the cache
-            assert np.array_equal(second, first)  # ...but the bits agree
-            assert np.array_equal(encoder.encode(batch), expected)
-            kernels.set_backend("auto")
-            assert np.array_equal(encoder.encode(batch), expected)
-        finally:
-            kernels.set_backend(mode)
-
-    def test_version_tracked_across_pickle(self):
-        import pickle
-
-        from repro import kernels
-
-        mode = kernels.current_mode()
-        try:
-            encoder = make_encoder()
-            blob = pickle.dumps(encoder)
-            kernels.set_backend("numpy")  # version moves while pickled
-            clone = pickle.loads(blob)
-            # The clone re-reads the current version on unpickle, so its
-            # first prebound build is already against the new backend.
-            assert clone._prebound_backend_version == kernels.backend_version()
-            assert np.array_equal(
-                clone.encode(np.random.default_rng(14).random((3, 12))),
-                encoder.encode(np.random.default_rng(14).random((3, 12))),
-            )
-        finally:
-            kernels.set_backend(mode)
