@@ -57,7 +57,9 @@ Design points, in the order they matter:
   load generator and the tests.  Parent-level failures answer with the
   ``unavailable`` error code, a line over
   :data:`~repro.serving.server.LINE_LIMIT` with ``too_large`` (then the
-  connection closes), and a malformed line with ``invalid``.
+  connection closes), a request whose shard-hop line would overrun it
+  with ``too_large`` under its own id (the connection stays open), and a
+  malformed line with ``invalid``.
   Everything a shard answers (``overloaded``, ``unknown_tenant``,
   ``deadline``, …) is forwarded verbatim.  The acceptor counts every
   error it answers by code, reported as ``errors`` by ``health``.
@@ -518,7 +520,9 @@ class ShardedServer:
                 if line == b"":
                     break
                 if line is None:
-                    continue
+                    # An over-limit answer cannot be matched to its
+                    # request: recycle the link as if it had broken.
+                    break
                 try:
                     message = json.loads(line)
                 except json.JSONDecodeError:
@@ -630,11 +634,24 @@ class ShardedServer:
         if detail is not None:
             raise ServingError(detail)
         sid = self._next_sid
-        self._next_sid += 1
         client_id = request.get("id")
         forwarded = dict(request)
         forwarded["id"] = sid
-        payload = (json.dumps(forwarded) + "\n").encode()
+        # Compact and unescaped, so the shard hop is about as long as the
+        # client's line.  Still checked: a re-encoding can grow (``1e9``
+        # becomes ``1000000000.0``), and a line the shard refuses would
+        # look like a broken link.  ``surrogatepass`` keeps lone
+        # surrogates, which ``json.loads`` on bytes decodes the same way.
+        encoded = json.dumps(forwarded, separators=(",", ":"), ensure_ascii=False)
+        payload = encoded.encode("utf-8", "surrogatepass")
+        if len(payload) > LINE_LIMIT:
+            return {
+                **too_large_response(),
+                "id": client_id,
+                "detail": f"request exceeds {LINE_LIMIT} bytes on the shard hop",
+            }
+        payload += b"\n"
+        self._next_sid += 1
         entry = _Pending(self._loop.create_future(), payload, client_id)
         link.pending[sid] = entry
         self.forwarded += 1
@@ -915,13 +932,16 @@ class PipelinedClient:
         return cls(reader, writer)
 
     async def _read_loop(self) -> None:
+        reason = "connection closed with the request in flight"
         try:
             while True:
                 line = await read_line(self._reader)
                 if line == b"":
                     break
                 if line is None:
-                    continue
+                    # Unmatchable: fail everything in flight instead.
+                    reason = f"response line exceeds {LINE_LIMIT} bytes"
+                    break
                 try:
                     message = json.loads(line)
                 except json.JSONDecodeError:
@@ -936,15 +956,15 @@ class PipelinedClient:
         finally:
             for future in self._pending.values():
                 if not future.done():
-                    future.set_exception(
-                        ServingError("connection closed with the request in flight")
-                    )
+                    future.set_exception(ServingError(reason))
             self._pending.clear()
 
     async def request(self, payload: dict) -> dict:
         """Send one request; resolve with its matched response."""
         if self._closed:
             raise ServingError("client is closed")
+        if self._reader_task.done():
+            raise ServingError("connection closed")
         request_id = self._next_id
         self._next_id += 1
         message = dict(payload)

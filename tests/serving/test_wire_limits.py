@@ -25,6 +25,8 @@ from repro.lookhd.persistence import save_classifier
 from repro.serving import (
     InferenceService,
     MicrobatchConfig,
+    PipelinedClient,
+    ServingError,
     ServingServer,
     ShardedServer,
 )
@@ -145,6 +147,78 @@ def test_sharded_acceptor_carries_large_lines(
     assert health["errors"] == {"too_large": 1, "unsupported": 1}
     assert health["requests"]["dropped"] == 0
     assert health["requests"]["failed"] == 0
+
+
+def test_acceptor_checks_the_line_it_forwards(
+    wide_dataset, wide_classifier, tmp_path, no_asyncio_tracebacks
+):
+    """The shard hop re-encodes each request; that copy must fit the limit too.
+
+    Raw UTF-8 padding passes through at its own size.  A request whose
+    forwarded copy grows past the limit (``1e9`` re-encodes as
+    ``1000000000.0``) is answered ``too_large`` by the acceptor and never
+    reaches a shard, so no shard is respawned or failed over it.
+    """
+    models = [
+        (tenant, str(save_classifier(wide_classifier, tmp_path / f"{tenant}.npz")))
+        for tenant in ("alpha", "beta")
+    ]
+    x = wide_dataset.test_features[0].tolist()
+    query = json.dumps({"tenant": "alpha", "x": x}).encode()[:-1]
+    accent = "\u00e9".encode()  # two bytes raw, six once ASCII-escaped
+    unicode_padded = query + b', "id": 1, "pad": "' + accent * (LINE_LIMIT // 3) + b'"}\n'
+    number_padded = query + b', "id": 2, "pad": [' + b"1e9," * (LINE_LIMIT // 8) + b"1e9]}\n"
+    plain = query + b', "id": 3}\n'
+    assert len(unicode_padded) < LINE_LIMIT and len(number_padded) < LINE_LIMIT
+
+    async def drive():
+        async with ShardedServer(models, n_shards=2) as server:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port, limit=LINE_LIMIT
+            )
+            responses = []
+            for line in (unicode_padded, number_padded, plain):
+                writer.write(line)
+                await writer.drain()
+                responses.append(json.loads(await reader.readline()))
+            writer.close()
+            await writer.wait_closed()
+            return responses, await server.health()
+
+    (passed, rejected, after), health = asyncio.run(drive())
+    expected = int(wide_classifier.predict(wide_dataset.test_features[:1])[0])
+    assert passed == {"id": 1, "prediction": expected, "tenant": "alpha"}
+    assert rejected["id"] == 2 and rejected["error"] == "too_large"
+    assert after == {"id": 3, "prediction": expected, "tenant": "alpha"}
+    assert health["status"] == "ok"
+    assert health["errors"] == {"too_large": 1}
+    requests = health["requests"]
+    assert requests["forwarded"] == requests["answered"]
+    assert requests["respawns"] == requests["failed"] == requests["dropped"] == 0
+
+
+def test_pipelined_client_fails_on_an_over_limit_response(no_asyncio_tracebacks):
+    async def drive():
+        async def answer_oversized(reader, writer):
+            await reader.readline()
+            writer.write(OVERSIZED)
+            await writer.drain()
+            await reader.read()
+            writer.close()
+
+        server = await asyncio.start_server(answer_oversized, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        try:
+            async with await PipelinedClient.connect("127.0.0.1", port) as client:
+                with pytest.raises(ServingError, match="exceeds"):
+                    await asyncio.wait_for(client.request({"op": "health"}), timeout=10)
+                with pytest.raises(ServingError, match="closed"):
+                    await client.request({"op": "health"})
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    asyncio.run(drive())
 
 
 _malformed = st.text(max_size=20).map(lambda text: ('{"x": [' + text).encode())
