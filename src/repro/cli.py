@@ -447,7 +447,9 @@ def _serve_sharded(args, config) -> int:
 def _cmd_loadgen(args) -> int:
     import json
 
-    from repro.serving import LoadgenConfig, write_serving_file
+    from dataclasses import replace
+
+    from repro.serving import LoadgenConfig, fleet_config, write_serving_file
 
     # Flag-combination validation up front (exit 2, argparse-style): the
     # open/closed split changes which knobs are meaningful, and a wrong
@@ -466,23 +468,32 @@ def _cmd_loadgen(args) -> int:
         print("--kill-shard needs --shards >= 2", file=sys.stderr)
         return 2
 
-    config = LoadgenConfig(
-        n_requests=args.requests,
-        concurrency=args.concurrency,
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        max_queue_depth=args.max_queue_depth,
-        dispatch=args.dispatch,
-        n_tenants=args.tenants,
-        scenario=args.scenario,
-        tenant_quota=args.tenant_quota,
-        cache_budget_bytes=args.cache_budget_bytes,
-        swap_under_load=args.swap,
-        mode="open" if args.open_loop else "closed",
-        rates=tuple(args.rate or ()),
-        n_shards=args.shards,
-        kill_shard_under_load=args.kill_shard,
-    )
+    try:
+        config = LoadgenConfig(
+            n_requests=args.requests,
+            concurrency=args.concurrency,
+            max_batch=args.max_batch,
+            max_wait_ms=args.max_wait_ms,
+            max_queue_depth=args.max_queue_depth,
+            dispatch=args.dispatch,
+            n_tenants=args.tenants,
+            scenario=args.scenario,
+            tenant_quota=args.tenant_quota,
+            cache_budget_bytes=args.cache_budget_bytes,
+            mode="open" if args.open_loop else "closed",
+            rates=tuple(args.rate or ()),
+            n_shards=args.shards,
+            kill_shard_under_load=args.kill_shard,
+        )
+        # --swap is checked against the fleet shape a fleet-* profile
+        # gives a single-tenant config (which already swaps in process).
+        if args.profile.startswith("fleet-"):
+            config = fleet_config(args.profile, config)
+        if args.swap:
+            config = replace(config, swap_under_load=True)
+    except ValueError as error:
+        print(f"loadgen: {error}", file=sys.stderr)
+        return 2
     path = write_serving_file(args.profile, out_dir=args.out_dir, config=config)
     payload = json.loads(path.read_text())
     results = payload["results"]
@@ -846,21 +857,16 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument(
         "--swap",
         action="store_true",
-        help="hot-swap one tenant's model mid-run (fleet mode; the "
+        help="hot-swap one tenant's model mid-run (in-process fleet runs, "
+        "closed or open loop; fleet-* profiles already do; the "
         "availability-1.0 gate covers the swap)",
     )
-    loop = loadgen.add_mutually_exclusive_group()
-    loop.add_argument(
+    loadgen.add_argument(
         "--open-loop",
         action="store_true",
         help="replay a seeded arrival schedule and measure latency from the "
-        "*intended* arrival time (coordinated-omission-safe); requires --rate",
-    )
-    loop.add_argument(
-        "--closed-loop",
-        action="store_true",
-        help="fixed worker pool, next request only after the last completes "
-        "(the default mode)",
+        "*intended* arrival time (coordinated-omission-safe); requires --rate. "
+        "Without it, a closed loop of --concurrency workers",
     )
     loadgen.add_argument(
         "--rate",

@@ -27,12 +27,12 @@ overhead dominates any single-sample path.  This package closes that gap:
   across N shard processes with CRC32 tenant affinity, broadcast
   publish/evict, per-shard scrubbing, and supervised respawn + in-flight
   replay on shard death.
-* :mod:`~repro.serving.loadgen` — closed- *and* open-loop load
-  generators (``repro loadgen [--open-loop]``): closed loop measures the
-  microbatching speedup with warmup-excluded steady throughput; open
-  loop replays a seeded arrival schedule for coordinated-omission-safe
-  latency percentiles, optionally against the sharded server with a
-  chaos kill.  Both write a schema-validated ``BENCH_serving.json``.
+* :mod:`~repro.serving.loadgen` — one load generator
+  (``repro loadgen [--open-loop]``) driving the in-process service or
+  the sharded server under a closed loop (microbatching speedup,
+  warmup-excluded steady throughput) or an open loop (seeded arrivals,
+  coordinated-omission-safe percentiles), with an optional hot-swap or
+  chaos kill mid-run; it writes a schema-validated ``BENCH_serving.json``.
 
 Correctness contract: because every batch row is scored independently by
 the fused engine (per-row gather + sum, identical float summation order),

@@ -1,41 +1,34 @@
-"""Closed- and open-loop load generators for the serving layer.
+"""One load generator for the serving layer: schedule × target × tenants.
 
-Measures the quantity the serving layer exists to deliver — end-to-end
-throughput under concurrent per-request traffic — against the honest
-baseline: a sequential loop issuing the same requests one at a time
-through the same fused single-request ``predict`` (so the speedup isolates
-*microbatching*, not fused-vs-reference kernels, which ``repro bench``
-already covers).
+Measures end-to-end serving throughput and latency under concurrent
+per-request traffic against the honest baseline: a sequential loop
+issuing the same requests one at a time through the same fused
+single-request ``predict`` (so the speedup isolates *microbatching*).
 
-Two traffic models, because they answer different questions:
+Every run goes through one pipeline.  **Fit** ``n_tenants`` seeded
+models (one is the single-model case), save each and load it back, so
+every mode serves and checks the round-tripped artifacts.  **Oracle**:
+warm every tenant's tables, then answer the request set with one
+sequential loop — the bit-identity reference and the speedup baseline.
+**Drive** one of two targets (a registry-backed in-process
+:class:`~repro.serving.service.InferenceService`, or a
+:class:`~repro.serving.shard.ShardedServer` over TCP) with one request
+loop, :func:`_drive`, under one of two schedules:
 
-* **Closed loop** (default): ``concurrency`` workers each hold at most
-  one request in flight and issue the next the moment the previous
-  answer lands.  Right for the throughput-vs-sequential speedup gate,
-  but self-throttling: when the service stalls, the generator stalls
-  with it, so latency percentiles describe only the requests the
-  generator *dared to send*.  The headline rps additionally excludes
-  the warmup bucket (:func:`throughput_timeline`) so cold-start ramp
-  cannot skew it.
+* **closed** (default): ``concurrency`` workers each hold one request in
+  flight.  Self-throttling, so the headline rps excludes the warmup
+  bucket (:func:`throughput_timeline`).
+* **open** (``mode="open"``): seeded Poisson arrivals per swept rate,
+  each latency measured from the *intended* arrival, which keeps the
+  percentiles free of coordinated omission.
 
-* **Open loop** (``mode="open"``): requests arrive on a fixed seeded
-  schedule (exponential inter-arrivals at the offered rate) whether or
-  not earlier requests completed.  Each latency is measured from the
-  request's *intended* arrival time — not from when a backlogged sender
-  actually wrote it — which is what makes the percentiles immune to
-  coordinated omission: a stall inflates the latencies of every request
-  scheduled during it, exactly as real clients would experience.  Open
-  loop is also the mode that drives the sharded server
-  (:class:`~repro.serving.shard.ShardedServer`), including the optional
-  mid-run chaos kill whose recovery gates the artifact.
-
-Every run is also a correctness gate: the sequential pass doubles as the
-bit-identical oracle (``checks.predictions_match_single``; sharded runs
-rebuild it from the *same saved artifacts* the shards serve, closing the
-persistence round-trip), and the request accounting must balance
-(``checks.zero_dropped``).  The payload is schema-validated
-(:mod:`repro.serving.schema`) before it is written to
-``BENCH_serving.json``.
+Overload rejections are retried after one batch window and counted per
+tenant.  Halfway through the first run the target's event fires: a
+hot-swap in process (``swap_under_load``) or a shard SIGKILL
+(``kill_shard_under_load``).  **Report**: one function, :func:`_payload`,
+adds the blocks each mode measured; request accounting comes from the
+loop's counters and the target's drop audit, and the payload is
+schema-validated (:mod:`repro.serving.schema`) before it is written.
 """
 
 from __future__ import annotations
@@ -47,6 +40,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Awaitable, Callable
 
 import numpy as np
 
@@ -104,13 +98,13 @@ DEFAULT_SERVING_WORKLOADS = {
 class LoadgenConfig:
     """Traffic shape plus the service knobs under test.
 
-    ``n_tenants > 1`` switches the run into fleet mode: ``n_tenants``
-    independently-fitted models (same geometry, per-tenant seeds) are
-    published into a :class:`~repro.serving.registry.ModelRegistry`,
-    traffic is mixed across them per ``scenario``, and — with
-    ``swap_under_load`` — one tenant is hot-swapped to a freshly trained
-    (bit-identical) model halfway through the run, so the artifact's
-    availability and bit-identity gates cover the swap machinery itself.
+    ``n_tenants > 1`` serves that many independently-fitted models side
+    by side, traffic mixed per ``scenario``.  ``swap_under_load``
+    hot-swaps the first tenant to a bit-identical copy of its model
+    halfway through the run (in-process fleets only), so the
+    availability and bit-identity gates cover the swap itself.  Every
+    knob is validated here, so a bad combination fails before any model
+    is trained.
     """
 
     n_requests: int = 2_000
@@ -164,6 +158,12 @@ class LoadgenConfig:
                 )
         if self.kill_shard_under_load and self.n_shards < 2:
             raise ValueError("kill_shard_under_load needs n_shards >= 2")
+        if self.swap_under_load and (self.n_tenants < 2 or self.n_shards > 1):
+            raise ValueError(
+                "swap_under_load hot-swaps one tenant of an in-process fleet; "
+                "it needs n_tenants >= 2 and n_shards == 1"
+            )
+        self.microbatch()  # validates the batching/admission knobs
 
     def microbatch(self) -> MicrobatchConfig:
         return MicrobatchConfig(
@@ -173,14 +173,6 @@ class LoadgenConfig:
             tenant_quota=self.tenant_quota,
             dispatch=self.dispatch,
         )
-
-
-def _environment() -> dict:
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "platform": platform.platform(),
-    }
 
 
 def throughput_timeline(
@@ -237,61 +229,26 @@ def throughput_timeline(
     }
 
 
-def _fit_classifier(workload: BenchWorkload, data) -> LookHDClassifier:
-    clf = LookHDClassifier(
-        LookHDConfig(
-            dim=workload.dim,
-            levels=workload.levels,
-            chunk_size=workload.chunk_size,
-            group_size=workload.group_size,
-            decorrelate=workload.decorrelate,
-            seed=workload.seed,
+def _fit_fleet(
+    workload: BenchWorkload, n_tenants: int
+) -> tuple[list[str], dict[str, LookHDClassifier], dict[str, np.ndarray]]:
+    """One independently-seeded model + request pool per tenant."""
+    tenants = [f"tenant-{index}" for index in range(n_tenants)]
+    classifiers: dict[str, LookHDClassifier] = {}
+    pools: dict[str, np.ndarray] = {}
+    for index, tenant in enumerate(tenants):
+        tenant_workload = replace(
+            workload, name=f"{workload.name}-{tenant}", seed=workload.seed + index
         )
-    )
-    clf.fit(data.train_features, data.train_labels)
-    return clf
-
-
-async def _drive(
-    classifier: LookHDClassifier,
-    requests: np.ndarray,
-    config: LoadgenConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, InferenceService]:
-    """Run the closed loop; returns (predictions, latencies, completion
-    offsets, elapsed, service)."""
-    n = requests.shape[0]
-    predictions = np.full(n, -1, dtype=np.int64)
-    latencies = np.zeros(n, dtype=np.float64)
-    completed_at = np.zeros(n, dtype=np.float64)
-    service = InferenceService(classifier, config.microbatch())
-    await service.start()
-    next_request = 0
-
-    async def worker() -> None:
-        nonlocal next_request
-        while next_request < n:
-            index = next_request
-            next_request += 1
-            started = time.perf_counter()
-            while True:
-                try:
-                    predictions[index] = await service.predict(requests[index])
-                    break
-                except ServiceOverloadedError:
-                    # Closed-loop workers cannot out-queue max_queue_depth
-                    # unless configured to; back off for one batch window.
-                    await asyncio.sleep(config.max_wait_ms / 1_000.0)
-            completed_at[index] = time.perf_counter()
-            latencies[index] = completed_at[index] - started
-
-    run_started = time.perf_counter()
-    await asyncio.gather(*(worker() for _ in range(config.concurrency)))
-    elapsed = time.perf_counter() - run_started
-    await service.stop()
-    return predictions, latencies, completed_at - run_started, elapsed, service
-
-
-# -- fleet (multi-tenant) runs -------------------------------------------------
+        data = tenant_workload.make_dataset()
+        fields = ("dim", "levels", "chunk_size", "group_size", "decorrelate", "seed")
+        clf = LookHDClassifier(
+            LookHDConfig(**{key: getattr(tenant_workload, key) for key in fields})
+        )
+        clf.fit(data.train_features, data.train_labels)
+        classifiers[tenant] = clf
+        pools[tenant] = np.asarray(data.test_features, dtype=np.float64)
+    return tenants, classifiers, pools
 
 
 def _tenant_schedule(
@@ -323,275 +280,17 @@ def _tenant_schedule(
 
 
 def _request_pool(
-    tenants: list[str],
-    pools: dict[str, np.ndarray],
-    schedule: np.ndarray,
-    n_requests: int,
-    n_features: int,
-) -> tuple[np.ndarray, dict[str, list[int]]]:
-    """Per-request features: cycle each tenant's own test pool in its
-    request order (deterministic given the schedule)."""
-    requests = np.empty((n_requests, n_features), dtype=np.float64)
-    tenant_indices: dict[str, list[int]] = {tenant: [] for tenant in tenants}
-    for index, tenant_id in enumerate(schedule):
-        tenant = tenants[tenant_id]
+    tenants: list[str], pools: dict[str, np.ndarray], tenant_ids: np.ndarray
+) -> np.ndarray:
+    """Per-request features: each tenant's requests cycle its own test
+    pool in request order (deterministic given the schedule)."""
+    n_features = pools[tenants[0]].shape[1]
+    requests = np.empty((tenant_ids.shape[0], n_features), dtype=np.float64)
+    for tenant_id, tenant in enumerate(tenants):
+        rows = np.flatnonzero(tenant_ids == tenant_id)
         pool = pools[tenant]
-        requests[index] = pool[len(tenant_indices[tenant]) % pool.shape[0]]
-        tenant_indices[tenant].append(index)
-    return requests, tenant_indices
-
-
-def _fit_fleet(
-    workload: BenchWorkload, n_tenants: int
-) -> tuple[list[str], dict[str, LookHDClassifier], dict[str, np.ndarray]]:
-    """One independently-seeded model + request pool per tenant."""
-    tenants = [f"tenant-{index}" for index in range(n_tenants)]
-    classifiers: dict[str, LookHDClassifier] = {}
-    pools: dict[str, np.ndarray] = {}
-    for index, tenant in enumerate(tenants):
-        tenant_workload = replace(
-            workload, name=f"{workload.name}-{tenant}", seed=workload.seed + index
-        )
-        data = tenant_workload.make_dataset()
-        classifiers[tenant] = _fit_classifier(tenant_workload, data)
-        pools[tenant] = np.asarray(data.test_features, dtype=np.float64)
-    return tenants, classifiers, pools
-
-
-async def _drive_fleet(
-    registry: ModelRegistry,
-    tenants: list[str],
-    schedule: np.ndarray,
-    requests: np.ndarray,
-    config: LoadgenConfig,
-    swap: dict | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, InferenceService]:
-    """Closed-loop fleet traffic, optionally hot-swapping mid-run.
-
-    ``swap`` (when set) carries ``{"tenant", "classifier"}``: once half
-    the requests have completed, the replacement model is published from
-    a worker thread — table build off the loop, atomic flip — while the
-    closed loop keeps firing.  The swap dict is updated in place with
-    what happened, and every request must still succeed (that is the
-    availability-1.0 gate).
-    """
-    n = requests.shape[0]
-    predictions = np.full(n, -1, dtype=np.int64)
-    latencies = np.zeros(n, dtype=np.float64)
-    completed_at = np.zeros(n, dtype=np.float64)
-    completed = 0
-    service = InferenceService(registry=registry, config=config.microbatch())
-    await service.start()
-    next_request = 0
-    swap_task: asyncio.Task | None = None
-
-    async def do_swap() -> None:
-        tenant = swap["tenant"]
-        swap["version_before"] = registry.record(tenant).version
-        swap["queue_depth_at_swap"] = service.queue_depth
-        record = await asyncio.get_running_loop().run_in_executor(
-            None, registry.publish, tenant, swap.pop("classifier")
-        )
-        swap["version_after"] = record.version
-        swap["performed"] = True
-
-    async def worker() -> None:
-        nonlocal next_request, completed, swap_task
-        while next_request < n:
-            index = next_request
-            next_request += 1
-            tenant = tenants[schedule[index]]
-            started = time.perf_counter()
-            while True:
-                try:
-                    predictions[index] = await service.predict(
-                        requests[index], tenant=tenant
-                    )
-                    break
-                except ServiceOverloadedError:
-                    # Global or per-tenant-quota backpressure: back off one
-                    # batch window and retry (closed-loop contract — every
-                    # request is eventually answered).
-                    await asyncio.sleep(config.max_wait_ms / 1_000.0)
-            completed_at[index] = time.perf_counter()
-            latencies[index] = completed_at[index] - started
-            completed += 1
-            if swap is not None and swap_task is None and completed >= n // 2:
-                swap_task = asyncio.get_running_loop().create_task(do_swap())
-
-    run_started = time.perf_counter()
-    await asyncio.gather(*(worker() for _ in range(config.concurrency)))
-    elapsed = time.perf_counter() - run_started
-    if swap_task is not None:
-        await swap_task
-    await service.stop()
-    return predictions, latencies, completed_at - run_started, elapsed, service
-
-
-def _run_fleet_loadgen(workload: BenchWorkload, config: LoadgenConfig) -> dict:
-    """Fleet twin of :func:`run_loadgen`: registry, mixed tenants, hot-swap.
-
-    The correctness story mirrors the single-model run, per tenant: each
-    tenant's requests are also answered by a sequential single-request
-    loop over *that tenant's* classifier (the bit-identity oracle).  The
-    swap replacement is trained from the same per-tenant workload
-    (identical config/seed/data), so bit-identity stays checkable across
-    the swap while the full publish/flip machinery runs under live load.
-    """
-    tenants, classifiers, pools = _fit_fleet(workload, config.n_tenants)
-    schedule = _tenant_schedule(
-        config.n_requests, config.n_tenants, config.scenario, workload.seed
-    )
-    requests, tenant_indices = _request_pool(
-        tenants, pools, schedule, config.n_requests, workload.n_features
-    )
-
-    # Sequential per-tenant oracle (also warms each model's tables).
-    expected = np.full(config.n_requests, -1, dtype=np.int64)
-    started = time.perf_counter()
-    for tenant, indices in tenant_indices.items():
-        clf = classifiers[tenant]
-        for index in indices:
-            expected[index] = clf.predict(requests[index])
-    sequential_elapsed = time.perf_counter() - started
-
-    registry = ModelRegistry(cache_budget_bytes=config.cache_budget_bytes)
-    for tenant in tenants:
-        registry.publish(tenant, classifiers[tenant])
-
-    swap = None
-    if config.swap_under_load:
-        swap_tenant = tenants[0]
-        swap_workload = replace(
-            workload, name=f"{workload.name}-{swap_tenant}", seed=workload.seed
-        )
-        swap = {
-            "tenant": swap_tenant,
-            "performed": False,
-            # Same workload, same seed: the replacement is bit-identical,
-            # so the oracle holds across the flip.
-            "classifier": _fit_classifier(swap_workload, swap_workload.make_dataset()),
-        }
-
-    telemetry_registry = telemetry.MetricsRegistry(enabled=True)
-    with telemetry.activated(telemetry_registry):
-        predictions, latencies, completion_offsets, elapsed, service = asyncio.run(
-            _drive_fleet(registry, tenants, schedule, requests, config, swap)
-        )
-
-    stats = service.request_stats()
-    throughput = config.n_requests / max(elapsed, 1e-12)
-    sequential_rps = config.n_requests / max(sequential_elapsed, 1e-12)
-    p50, p99 = (float(v) for v in np.percentile(latencies, (50.0, 99.0)))
-
-    fleet_tenants = {}
-    per_tenant_identity = True
-    for tenant in tenants:
-        indices = np.asarray(tenant_indices[tenant], dtype=np.int64)
-        match = bool(np.array_equal(predictions[indices], expected[indices]))
-        per_tenant_identity = per_tenant_identity and match
-        tenant_stats = stats["tenants"].get(tenant, {})
-        fleet_tenants[tenant] = {
-            "sent": int(indices.size),
-            "completed": int(tenant_stats.get("completed", 0)),
-            "rejected": int(tenant_stats.get("rejected", 0)),
-            "dropped": int(tenant_stats.get("dropped", 0)),
-            "match_single": match,
-        }
-
-    swap_block = {"performed": False}
-    swap_zero_downtime = True
-    if swap is not None:
-        availability = stats["completed"] / max(config.n_requests, 1)
-        swap_zero_downtime = bool(
-            swap["performed"]
-            and swap["version_after"] == swap["version_before"] + 1
-            and availability == 1.0
-            and stats["dropped"] == 0
-            and stats["failed"] == 0
-        )
-        swap_block = {
-            "performed": swap["performed"],
-            "tenant": swap["tenant"],
-            "version_before": swap["version_before"],
-            "version_after": swap["version_after"],
-            "queue_depth_at_swap": swap["queue_depth_at_swap"],
-            "availability": availability,
-        }
-
-    payload = {
-        "schema_version": SERVING_SCHEMA_VERSION,
-        "benchmark": "serving",
-        "workload": {
-            "name": f"{workload.name}-fleet{config.n_tenants}",
-            "dim": workload.dim,
-            "levels": workload.levels,
-            "chunk_size": workload.chunk_size,
-            "n_features": workload.n_features,
-            "n_classes": workload.n_classes,
-            "seed": workload.seed,
-            "n_requests": config.n_requests,
-            "concurrency": config.concurrency,
-            "n_tenants": config.n_tenants,
-            "scenario": config.scenario,
-            "mode": "closed",
-        },
-        "service": {
-            "max_batch": config.max_batch,
-            "max_wait_ms": config.max_wait_ms,
-            "max_queue_depth": config.max_queue_depth,
-            "tenant_quota": config.tenant_quota,
-            "cache_budget_bytes": config.cache_budget_bytes,
-            "n_shards": 1,
-            "fused_active": all(
-                clf.config.fused_inference and clf.fused_engine().enabled
-                for clf in classifiers.values()
-            ),
-        },
-        "results": {
-            "throughput_rps": throughput,
-            "sequential_rps": sequential_rps,
-            "speedup_vs_sequential": throughput / max(sequential_rps, 1e-12),
-            "elapsed_seconds": elapsed,
-            "sequential_elapsed_seconds": sequential_elapsed,
-            "latency_seconds": {
-                "p50": p50,
-                "p99": p99,
-                "mean": float(latencies.mean()),
-                "max": float(latencies.max()),
-            },
-            "batches": {
-                "count": stats["batches"],
-                "mean_size": stats["completed"] / max(stats["batches"], 1),
-                "max_size": service.max_batch_size,
-            },
-            "flush_reasons": dict(service.flush_reasons),
-            "timeline": throughput_timeline(completion_offsets, elapsed),
-            "requests": {
-                "sent": config.n_requests,
-                "completed": stats["completed"],
-                "rejected": stats["rejected"],
-                "dropped": stats["dropped"],
-            },
-            "fleet": {
-                "tenants": fleet_tenants,
-                "registry": registry.describe(),
-            },
-            "swap": swap_block,
-        },
-        "checks": {
-            "predictions_match_single": bool(np.array_equal(predictions, expected)),
-            "zero_dropped": stats["dropped"] == 0 and stats["failed"] == 0,
-            "per_tenant_bit_identity": bool(per_tenant_identity),
-            "swap_zero_downtime": swap_zero_downtime,
-        },
-        "environment": _environment(),
-        "telemetry": telemetry_registry.snapshot(),
-    }
-    return validate_serving_payload(payload)
-
-
-# -- open-loop runs ------------------------------------------------------------
+        requests[rows] = pool[np.arange(rows.size) % pool.shape[0]]
+    return requests
 
 
 def _arrival_schedule(n: int, rate: float, seed, label: str) -> np.ndarray:
@@ -600,113 +299,120 @@ def _arrival_schedule(n: int, rate: float, seed, label: str) -> np.ndarray:
     return np.cumsum(rng.exponential(1.0 / rate, size=n))
 
 
-async def _drive_open(
-    send,
-    offsets: np.ndarray,
-    backoff_seconds: float,
-    on_halfway=None,
-) -> tuple[np.ndarray, np.ndarray, float, float, int]:
-    """Fire requests on the arrival schedule; latencies from *intended* times.
+# -- the request loop ------------------------------------------------------------
 
-    The coordinated-omission discipline, concretely: request ``i`` is due
-    at ``offsets[i]`` after run start.  Its latency is measured from that
-    intended arrival — not from whenever a backlogged sender actually
-    wrote it — so a service stall shows up in the percentiles of every
-    request scheduled during the stall, exactly as concurrent real
-    clients would experience it.  ``max_lag`` (worst send-side slip
-    behind the schedule) is reported so a run where the *generator*
-    could not keep up is visible rather than silently optimistic.
 
-    Overloaded rejections are retried after ``backoff_seconds`` with the
-    latency clock still running from the intended arrival; every
-    scheduled request therefore resolves (the zero-dropped contract).
-    ``on_halfway`` (when set) fires once after half the requests
-    complete — the chaos-kill hook.
+@dataclass
+class _Run:
+    """One pass of the request set through a target."""
+
+    predictions: np.ndarray
+    latencies: np.ndarray
+    completed_at: np.ndarray  # seconds from run start
+    elapsed: float
+    max_lag: float  # worst send-side slip behind the arrival schedule
+    completed: np.ndarray  # per tenant
+    rejected: np.ndarray  # per tenant, overload rejections
+
+
+async def _drive(send, tenant_ids, n_tenants, schedule, backoff_seconds, on_halfway=None) -> _Run:
+    """Send every request once under ``schedule``; the one retry loop.
+
+    ``schedule`` is an int (that many closed-loop workers) or an array
+    of open-loop arrival offsets.  Latency runs from the intended
+    arrival — when a worker picks the request up, or its scheduled
+    offset — so an open-loop stall inflates every request scheduled
+    during it, and ``max_lag`` exposes a generator that fell behind.
+    Overload rejections are retried after ``backoff_seconds`` with the
+    clock running and counted per tenant.  ``on_halfway`` starts once
+    half the requests have completed and is awaited before returning.
     """
-    n = offsets.shape[0]
+    n = tenant_ids.shape[0]
     predictions = np.full(n, -1, dtype=np.int64)
     latencies = np.zeros(n, dtype=np.float64)
-    rejected = 0
-    completed = 0
+    completed_at = np.zeros(n, dtype=np.float64)
+    completed = np.zeros(n_tenants, dtype=np.int64)
+    rejected = np.zeros(n_tenants, dtype=np.int64)
+    finished = 0
     max_lag = 0.0
-    halfway_fired = on_halfway is None
+    hook: asyncio.Task | None = None
     start = time.perf_counter()
 
-    async def fire(index: int) -> None:
-        nonlocal rejected, completed, max_lag, halfway_fired
-        target = float(offsets[index])
-        delay = target - (time.perf_counter() - start)
-        if delay > 0:
-            await asyncio.sleep(delay)
-        max_lag = max(max_lag, (time.perf_counter() - start) - target)
+    async def fire(index: int, due: float) -> None:
+        nonlocal finished, max_lag, hook
+        max_lag = max(max_lag, time.perf_counter() - start - due)
+        tenant_id = tenant_ids[index]
         while True:
             try:
                 predictions[index] = await send(index)
                 break
             except ServiceOverloadedError:
-                rejected += 1
+                rejected[tenant_id] += 1
                 await asyncio.sleep(backoff_seconds)
-        latencies[index] = (time.perf_counter() - start) - target
-        completed += 1
-        if not halfway_fired and completed >= n // 2:
-            halfway_fired = True
-            on_halfway()
+        completed_at[index] = time.perf_counter() - start
+        latencies[index] = completed_at[index] - due
+        completed[tenant_id] += 1
+        finished += 1
+        if on_halfway is not None and hook is None and finished >= n // 2:
+            hook = asyncio.get_running_loop().create_task(on_halfway())
 
-    await asyncio.gather(*(fire(index) for index in range(n)))
+    if isinstance(schedule, int):
+        next_request = 0
+
+        async def worker() -> None:
+            nonlocal next_request
+            while next_request < n:
+                index = next_request
+                next_request += 1
+                await fire(index, time.perf_counter() - start)
+
+        await asyncio.gather(*(worker() for _ in range(schedule)))
+    else:
+
+        async def arrive(index: int) -> None:
+            due = float(schedule[index])
+            delay = due - (time.perf_counter() - start)
+            if delay > 0:
+                await asyncio.sleep(delay)
+            await fire(index, due)
+
+        await asyncio.gather(*(arrive(index) for index in range(n)))
     elapsed = time.perf_counter() - start
+    if hook is not None:
+        await hook
     np.maximum(latencies, 0.0, out=latencies)
-    return predictions, latencies, max(0.0, max_lag), elapsed, rejected
+    max_lag = max(0.0, max_lag)
+    return _Run(predictions, latencies, completed_at, elapsed, max_lag, completed, rejected)
 
 
-async def _sweep_rates(send, config: LoadgenConfig, seed, on_halfway_first=None):
-    """One open-loop run per configured rate; same request set, fresh
-    seeded schedule each.  The chaos hook fires only during the first
-    rate, so later sweep points measure clean steady state."""
-    blocks = []
-    for position, rate in enumerate(config.rates):
-        offsets = _arrival_schedule(
-            config.n_requests, float(rate), seed, f"{position}-{rate}"
-        )
-        predictions, latencies, max_lag, elapsed, rejected = await _drive_open(
-            send,
-            offsets,
-            config.max_wait_ms / 1_000.0,
-            on_halfway_first if position == 0 else None,
-        )
-        p50, p90, p99, p999 = (
-            float(v) for v in np.percentile(latencies, (50.0, 90.0, 99.0, 99.9))
-        )
-        blocks.append(
-            {
-                "rate": float(rate),
-                "achieved_rps": config.n_requests / max(elapsed, 1e-12),
-                "requests": config.n_requests,
-                "max_lag_seconds": float(max_lag),
-                "latency_seconds": {
-                    "p50": p50,
-                    "p90": p90,
-                    "p99": p99,
-                    "p999": p999,
-                    "mean": float(latencies.mean()),
-                    "max": float(latencies.max()),
-                },
-                "_predictions": predictions,
-                "_rejected": rejected,
-                "_elapsed": elapsed,
-            }
-        )
-    return blocks
+# -- the two targets -------------------------------------------------------------
 
 
-async def _sweep_inprocess(
-    oracle: dict[str, LookHDClassifier],
-    tenants: list[str],
-    schedule: np.ndarray,
-    requests: np.ndarray,
-    config: LoadgenConfig,
-    seed,
-) -> dict:
-    """Open-loop sweep against one in-process service (``n_shards=1``)."""
+@dataclass
+class _Target:
+    """What :func:`_drive` sends through; ``close`` stops it and fills the
+    report: one ``request_stats()`` per serving process in ``stats``,
+    the fleet ``registry`` snapshot, and the mode-specific blocks."""
+
+    send: Callable[[int], Awaitable[int]]
+    halfway: Callable[[], Awaitable[None]] | None
+    close: Callable[[], Awaitable[None]]
+    stats: list = field(default_factory=list)
+    registry: dict = field(default_factory=dict)
+    service: InferenceService | None = None
+    swap: dict = field(default_factory=lambda: {"performed": False})
+    acceptor: dict | None = None
+    chaos: dict = field(default_factory=lambda: {"performed": False})
+    per_shard: dict | None = None
+
+
+async def _inprocess_target(config, tenants, models, oracle, tenant_ids, requests) -> _Target:
+    """A registry-backed :class:`InferenceService` in this event loop.
+
+    The halfway event republishes the first tenant from its saved
+    artifact (a fresh, bit-identical model, so the oracle holds) on a
+    worker thread while traffic flows: table build off the loop, then
+    the atomic flip."""
     registry = ModelRegistry(cache_budget_bytes=config.cache_budget_bytes)
     for tenant in tenants:
         registry.publish(tenant, oracle[tenant])
@@ -714,53 +420,40 @@ async def _sweep_inprocess(
     await service.start()
 
     async def send(index: int) -> int:
-        return await service.predict(
-            requests[index], tenant=tenants[schedule[index]]
+        return await service.predict(requests[index], tenant=tenants[tenant_ids[index]])
+
+    async def hot_swap() -> None:
+        tenant, path = models[0]
+        target.swap.update(tenant=tenant, version_before=registry.record(tenant).version)
+        target.swap["queue_depth_at_swap"] = service.queue_depth
+        record = await asyncio.get_running_loop().run_in_executor(
+            None, lambda: registry.publish(tenant, load_classifier(path))
         )
+        target.swap.update(performed=True, version_after=record.version)
 
-    blocks = await _sweep_rates(send, config, seed)
-    await service.stop()
-    return {
-        "blocks": blocks,
-        "acceptor": None,
-        "chaos": {"performed": False},
-        "per_shard": None,
-        "registry_describe": registry.describe(),
-    }
+    async def close() -> None:
+        await service.stop()
+        target.stats = [service.request_stats()]
+        target.registry = registry.describe()
+
+    target = _Target(send, hot_swap if config.swap_under_load else None, close, service=service)
+    return target
 
 
-async def _sweep_sharded(
-    models: list[tuple[str, str]],
-    tenants: list[str],
-    schedule: np.ndarray,
-    requests: np.ndarray,
-    config: LoadgenConfig,
-    seed,
-) -> dict:
-    """Open-loop sweep over TCP against a :class:`ShardedServer` pool.
+async def _sharded_target(config, tenants, models, oracle, tenant_ids, requests) -> _Target:
+    """A :class:`ShardedServer` pool behind one pipelined TCP connection.
 
-    With ``kill_shard_under_load``, the shard hosting the first tenant is
-    SIGKILLed halfway through the first rate run; the acceptor must
-    respawn it, republish, and replay the in-flight requests so every
-    scheduled request still answers (availability 1.0, zero dropped).
-    """
-    server = ShardedServer(
-        models,
-        n_shards=config.n_shards,
-        config=config.microbatch(),
-        scrub_interval=0.25,
-    )
+    The halfway event SIGKILLs the shard hosting the first tenant; the
+    acceptor must respawn it and replay its in-flight requests."""
+    microbatch = config.microbatch()
+    server = ShardedServer(models, n_shards=config.n_shards, config=microbatch, scrub_interval=0.25)
     await server.start()
     client = await PipelinedClient.connect(server.host, server.port)
 
     async def send(index: int) -> int:
-        response = await client.request(
-            {
-                "op": "predict",
-                "tenant": tenants[schedule[index]],
-                "features": requests[index].tolist(),
-            }
-        )
+        tenant = tenants[tenant_ids[index]]
+        features = requests[index].tolist()
+        response = await client.request({"op": "predict", "tenant": tenant, "features": features})
         error = response.get("error")
         if error == "overloaded":
             raise ServiceOverloadedError(response.get("detail", "overloaded"))
@@ -768,196 +461,176 @@ async def _sweep_sharded(
             raise RuntimeError(f"sharded predict failed: {response}")
         return int(response["prediction"])
 
-    chaos: dict = {"performed": False}
-    on_halfway = None
-    if config.kill_shard_under_load:
+    async def kill_shard() -> None:
         victim = shard_for(tenants[0], config.n_shards)
+        target.chaos.update(performed=True, shard=victim, pid=server.kill_shard(victim))
 
-        def kill() -> None:
-            chaos["performed"] = True
-            chaos["shard"] = victim
-            chaos["pid"] = server.kill_shard(victim)
+    async def close() -> None:
+        try:
+            health = await server.health()
+        finally:
+            await client.close()
+            await server.stop()
+        target.acceptor = server.request_stats()
+        target.per_shard = health.get("shards", {})
+        blocks = target.per_shard.values()
+        target.stats = [block["requests"] for block in blocks if "requests" in block]
+        target.registry = next(
+            (block["fleet"] for block in blocks if isinstance(block.get("fleet"), dict)), {}
+        )
 
-        on_halfway = kill
+    target = _Target(send, kill_shard if config.kill_shard_under_load else None, close)
+    return target
 
+
+async def _serve(config, tenants, models, oracle, tenant_ids, requests, seed):
+    """Open the target, drive each schedule through it, close it."""
+    open_target = _sharded_target if config.n_shards > 1 else _inprocess_target
+    target = await open_target(config, tenants, models, oracle, tenant_ids, requests)
+    schedules = [config.concurrency] if config.mode == "closed" else [
+        _arrival_schedule(config.n_requests, float(rate), seed, f"{position}-{rate}")
+        for position, rate in enumerate(config.rates)
+    ]
+    backoff = config.max_wait_ms / 1_000.0
+    runs = []
     try:
-        blocks = await _sweep_rates(send, config, seed, on_halfway)
-        health = await server.health()
+        # The halfway event fires in the first run only, so later sweep
+        # points measure clean steady state.
+        for position, schedule in enumerate(schedules):
+            halfway = target.halfway if position == 0 else None
+            runs.append(
+                await _drive(target.send, tenant_ids, len(tenants), schedule, backoff, halfway)
+            )
     finally:
-        await client.close()
-        await server.stop()
-    if chaos["performed"]:
-        first = blocks[0]["_predictions"]
-        chaos["availability"] = float(np.count_nonzero(first >= 0)) / first.shape[0]
-    registry_describe = {}
-    shard_blocks = health.get("shards", {})
-    for block in shard_blocks.values():
-        if isinstance(block.get("fleet"), dict):
-            registry_describe = block["fleet"]
-            break
-    return {
-        "blocks": blocks,
-        "acceptor": server.request_stats(),
-        "chaos": chaos,
-        "per_shard": shard_blocks,
-        "registry_describe": registry_describe,
-    }
+        await target.close()
+    return runs, target
 
 
-def _run_open_loop(workload: BenchWorkload, config: LoadgenConfig) -> dict:
-    """Open-loop twin of :func:`run_loadgen`; handles 1..N shards.
+# -- the payload -----------------------------------------------------------------
 
-    The bit-identity oracle is rebuilt from the *same saved artifacts*
-    the serving side loads (persistence round-trip), so a sharded run's
-    ``checks.shard_outputs_match`` really compares against single-process
-    serving of identical published state.  The headline
-    ``throughput_rps`` / ``latency_seconds`` come from the *last* (by
-    convention highest) swept rate; every rate keeps its own block under
-    ``results.open_loop.rates``.
-    """
-    tenants, classifiers, pools = _fit_fleet(workload, config.n_tenants)
-    schedule = _tenant_schedule(
-        config.n_requests, config.n_tenants, config.scenario, workload.seed
-    )
-    requests, tenant_indices = _request_pool(
-        tenants, pools, schedule, config.n_requests, workload.n_features
-    )
 
-    with tempfile.TemporaryDirectory(prefix="repro-loadgen-") as tmp:
-        models = [
-            (tenant, str(save_classifier(classifiers[tenant], Path(tmp) / f"{tenant}.npz")))
-            for tenant in tenants
-        ]
-        oracle = {tenant: load_classifier(path) for tenant, path in models}
+_WORKLOAD_FIELDS = ("dim", "levels", "chunk_size", "n_features", "n_classes", "seed")
+_CONFIG_FIELDS = ("concurrency", "n_tenants", "scenario", "mode")
+_SERVICE_FIELDS = (
+    "max_batch", "max_wait_ms", "max_queue_depth", "tenant_quota", "cache_budget_bytes", "n_shards"
+)
 
-        # Sequential oracle over the round-tripped artifacts — both the
-        # bit-identity reference and the speedup baseline.
-        expected = np.full(config.n_requests, -1, dtype=np.int64)
-        started = time.perf_counter()
-        for tenant, indices in tenant_indices.items():
-            clf = oracle[tenant]
-            for index in indices:
-                expected[index] = clf.predict(requests[index])
-        sequential_elapsed = time.perf_counter() - started
 
-        telemetry_registry = telemetry.MetricsRegistry(enabled=True)
-        with telemetry.activated(telemetry_registry):
-            if config.n_shards > 1:
-                outcome = asyncio.run(
-                    _sweep_sharded(
-                        models, tenants, schedule, requests, config, workload.seed
-                    )
-                )
-            else:
-                outcome = asyncio.run(
-                    _sweep_inprocess(
-                        oracle, tenants, schedule, requests, config, workload.seed
-                    )
-                )
+def _latency_block(latencies: np.ndarray, quantiles: tuple) -> dict:
+    values = np.percentile(latencies, [float(q) for q in quantiles])
+    block = {f"p{q}".replace(".", ""): float(v) for q, v in zip(quantiles, values)}
+    block.update(mean=float(latencies.mean()), max=float(latencies.max()))
+    return block
 
-    blocks = outcome["blocks"]
-    all_match = True
-    per_tenant_match = {tenant: True for tenant in tenants}
-    rejected_total = 0
-    elapsed_total = 0.0
-    rate_blocks = []
-    for block in blocks:
-        predictions = block.pop("_predictions")
-        rejected_total += block.pop("_rejected")
-        elapsed_total += block.pop("_elapsed")
-        all_match = all_match and bool(np.array_equal(predictions, expected))
-        for tenant, indices in tenant_indices.items():
-            idx = np.asarray(indices, dtype=np.int64)
-            if not np.array_equal(predictions[idx], expected[idx]):
-                per_tenant_match[tenant] = False
-        rate_blocks.append(block)
 
-    n_rates = len(rate_blocks)
-    sent = config.n_requests * n_rates
-    headline = rate_blocks[-1]
-    sequential_rps = config.n_requests / max(sequential_elapsed, 1e-12)
-    acceptor = outcome["acceptor"]
-    chaos = outcome["chaos"]
+def _payload(workload, config, tenants, tenant_ids, oracle, expected, sequential_elapsed,
+             runs, target, snapshot) -> dict:
+    """Build the one ``BENCH_serving.json`` payload: common blocks, then by mode."""
+    n = config.n_requests
+    headline = runs[-1]
+    throughput = n / max(headline.elapsed, 1e-12)
+    sequential_rps = n / max(sequential_elapsed, 1e-12)
+    completed = sum(run.completed for run in runs)
+    rejected = sum(run.rejected for run in runs)
+    stats = target.stats
+    dropped = sum(s["dropped"] for s in stats) + (target.acceptor or {}).get("dropped", 0)
+    failed = sum(s["failed"] for s in stats)
+    masks = [tenant_ids == tenant_id for tenant_id in range(len(tenants))]
+    tenant_match = [
+        all(np.array_equal(run.predictions[mask], expected[mask]) for run in runs)
+        for mask in masks
+    ]
+    all_match = all(np.array_equal(run.predictions, expected) for run in runs)
+    # The halfway event fires in the first run: its availability is the
+    # share of that run's scheduled requests that got an answer.
+    availability = float(np.count_nonzero(runs[0].predictions >= 0)) / n
 
     results: dict = {
-        "throughput_rps": headline["achieved_rps"],
+        "throughput_rps": throughput,
         "sequential_rps": sequential_rps,
-        "speedup_vs_sequential": headline["achieved_rps"] / max(sequential_rps, 1e-12),
-        "elapsed_seconds": elapsed_total,
+        "speedup_vs_sequential": throughput / max(sequential_rps, 1e-12),
+        "elapsed_seconds": sum(run.elapsed for run in runs),
         "sequential_elapsed_seconds": sequential_elapsed,
-        "latency_seconds": {
-            key: headline["latency_seconds"][key]
-            for key in ("p50", "p99", "mean", "max")
-        },
-        "open_loop": {"rates": rate_blocks},
+        "latency_seconds": _latency_block(headline.latencies, (50, 99)),
         "requests": {
-            "sent": sent,
-            "completed": sent,
-            "rejected": rejected_total,
-            "dropped": 0,
+            "sent": n * len(runs),
+            "completed": int(completed.sum()),
+            "rejected": int(rejected.sum()),
+            "dropped": int(dropped),
         },
     }
-    checks: dict = {
-        "predictions_match_single": all_match,
-        "zero_dropped": acceptor["dropped"] == 0 if acceptor else True,
-    }
+    checks = {"predictions_match_single": all_match, "zero_dropped": dropped == 0 and failed == 0}
+    if config.mode == "closed":
+        service, batches = target.service, stats[0]["batches"]
+        results["batches"] = {
+            "count": batches,
+            "mean_size": stats[0]["completed"] / max(batches, 1),
+            "max_size": service.max_batch_size,
+        }
+        results["flush_reasons"] = dict(service.flush_reasons)
+        results["timeline"] = throughput_timeline(headline.completed_at, headline.elapsed)
+    else:
+        results["open_loop"] = {
+            "rates": [
+                {
+                    "rate": float(rate),
+                    "achieved_rps": n / max(run.elapsed, 1e-12),
+                    "requests": n,
+                    "max_lag_seconds": float(run.max_lag),
+                    "latency_seconds": _latency_block(run.latencies, (50, 90, 99, 99.9)),
+                }
+                for rate, run in zip(config.rates, runs)
+            ]
+        }
     if config.n_tenants > 1:
         results["fleet"] = {
             "tenants": {
                 tenant: {
-                    "sent": len(indices) * n_rates,
-                    "completed": len(indices) * n_rates,
-                    "rejected": 0,
-                    "dropped": 0,
-                    "match_single": per_tenant_match[tenant],
+                    "sent": int(masks[tenant_id].sum()) * len(runs),
+                    "completed": int(completed[tenant_id]),
+                    "rejected": int(rejected[tenant_id]),
+                    "dropped": sum(s["tenants"].get(tenant, {}).get("dropped", 0) for s in stats),
+                    "match_single": tenant_match[tenant_id],
                 }
-                for tenant, indices in tenant_indices.items()
+                for tenant_id, tenant in enumerate(tenants)
             },
-            "registry": outcome["registry_describe"],
+            "registry": target.registry,
         }
-        results["swap"] = {"performed": False}
-        checks["per_tenant_bit_identity"] = all(per_tenant_match.values())
-        checks["swap_zero_downtime"] = True
+        swap = target.swap
+        results["swap"] = swap
+        checks["per_tenant_bit_identity"] = all(tenant_match)
+        checks["swap_zero_downtime"] = not config.swap_under_load
+        if swap["performed"]:
+            swap["availability"] = availability
+            checks["swap_zero_downtime"] = bool(
+                swap["version_after"] == swap["version_before"] + 1
+                and availability == 1.0
+                and checks["zero_dropped"]
+            )
     if config.n_shards > 1:
-        results["sharding"] = {
-            "acceptor": acceptor,
-            "chaos": chaos,
-            "per_shard": outcome["per_shard"],
-        }
+        chaos = target.chaos
+        acceptor = target.acceptor
+        results["sharding"] = {"acceptor": acceptor, "chaos": chaos, "per_shard": target.per_shard}
         checks["shard_outputs_match"] = all_match
         if chaos["performed"]:
+            chaos["availability"] = availability
             checks["shard_recovery"] = bool(
-                acceptor["respawns"] >= 1
-                and acceptor["dropped"] == 0
-                and chaos.get("availability") == 1.0
+                acceptor["respawns"] >= 1 and acceptor["dropped"] == 0 and availability == 1.0
             )
 
-    payload = {
+    return {
         "schema_version": SERVING_SCHEMA_VERSION,
         "benchmark": "serving",
         "workload": {
             "name": workload.name
             + (f"-fleet{config.n_tenants}" if config.n_tenants > 1 else "")
-            + "-open",
-            "dim": workload.dim,
-            "levels": workload.levels,
-            "chunk_size": workload.chunk_size,
-            "n_features": workload.n_features,
-            "n_classes": workload.n_classes,
-            "seed": workload.seed,
-            "n_requests": config.n_requests,
-            "concurrency": config.concurrency,
-            "n_tenants": config.n_tenants,
-            "scenario": config.scenario,
-            "mode": "open",
+            + ("-open" if config.mode == "open" else ""),
+            **{key: getattr(workload, key) for key in _WORKLOAD_FIELDS},
+            "n_requests": n,
+            **{key: getattr(config, key) for key in _CONFIG_FIELDS},
         },
         "service": {
-            "max_batch": config.max_batch,
-            "max_wait_ms": config.max_wait_ms,
-            "max_queue_depth": config.max_queue_depth,
-            "tenant_quota": config.tenant_quota,
-            "cache_budget_bytes": config.cache_budget_bytes,
-            "n_shards": config.n_shards,
+            **{key: getattr(config, key) for key in _SERVICE_FIELDS},
             "fused_active": all(
                 clf.config.fused_inference and clf.fused_engine().enabled
                 for clf in oracle.values()
@@ -965,118 +638,58 @@ def _run_open_loop(workload: BenchWorkload, config: LoadgenConfig) -> dict:
         },
         "results": results,
         "checks": checks,
-        "environment": _environment(),
-        "telemetry": telemetry_registry.snapshot(),
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": platform.platform(),
+        },
+        "telemetry": snapshot,
     }
-    return validate_serving_payload(payload)
 
 
-def run_loadgen(
-    workload: BenchWorkload,
-    config: LoadgenConfig | None = None,
-) -> dict:
-    """Train, measure sequential vs microbatched serving, build the payload.
+def run_loadgen(workload: BenchWorkload, config: LoadgenConfig | None = None) -> dict:
+    """Fit, run the sequential oracle, drive the target, build the payload.
 
-    Deterministic apart from wall-clock numbers: the workload is
-    pinned-seed synthetic and the request stream cycles its test split.
-
-    ``config.n_tenants > 1`` routes to the fleet run (registry-backed
-    service, mixed-tenant traffic, optional hot-swap under load) — same
-    payload schema, plus the fleet/swap blocks and their gates.
+    Deterministic apart from wall-clock numbers: every workload is
+    pinned-seed synthetic and each tenant's request stream cycles its
+    test split.  The returned payload is already schema-validated.
     """
     config = config if config is not None else LoadgenConfig()
-    if config.mode == "open":
-        return _run_open_loop(workload, config)
-    if config.n_tenants > 1:
-        return _run_fleet_loadgen(workload, config)
-    data = workload.make_dataset()
-    classifier = _fit_classifier(workload, data)
-    test = np.asarray(data.test_features, dtype=np.float64)
-    requests = test[np.arange(config.n_requests) % test.shape[0]]
-    # Warm the lazy tables (pre-bound encode table, fused score table) so
-    # both measured paths run steady-state, as a deployed model would.
-    classifier.predict(test[:1])
+    tenants, classifiers, pools = _fit_fleet(workload, config.n_tenants)
+    tenant_ids = _tenant_schedule(
+        config.n_requests, config.n_tenants, config.scenario, workload.seed
+    )
+    requests = _request_pool(tenants, pools, tenant_ids)
 
-    # Sequential per-request baseline — also the bit-identical oracle.
-    expected = np.empty(config.n_requests, dtype=np.int64)
-    started = time.perf_counter()
-    for index in range(config.n_requests):
-        expected[index] = classifier.predict(requests[index])
-    sequential_elapsed = time.perf_counter() - started
+    with tempfile.TemporaryDirectory(prefix="repro-loadgen-") as tmp:
+        models = [
+            (tenant, str(save_classifier(classifiers[tenant], Path(tmp) / f"{tenant}.npz")))
+            for tenant in tenants
+        ]
+        oracle = {tenant: load_classifier(path) for tenant, path in models}
+        # Warm the lazy tables (pre-bound encode table, fused score table)
+        # so both measured paths run steady-state, as a deployed model would.
+        for tenant in tenants:
+            oracle[tenant].predict(pools[tenant][:1])
 
-    # Microbatched closed loop, instrumented: the per-stage telemetry
-    # (queue wait, batch sizes, flush reasons, latency) is part of the
-    # artifact, and its overhead is per-batch, not per-sample.
-    registry = telemetry.MetricsRegistry(enabled=True)
-    with telemetry.activated(registry):
-        predictions, latencies, completion_offsets, elapsed, service = asyncio.run(
-            _drive(classifier, requests, config)
-        )
+        expected = np.empty(config.n_requests, dtype=np.int64)
+        started = time.perf_counter()
+        for index, tenant_id in enumerate(tenant_ids):
+            expected[index] = oracle[tenants[tenant_id]].predict(requests[index])
+        sequential_elapsed = time.perf_counter() - started
 
-    stats = service.request_stats()
-    throughput = config.n_requests / max(elapsed, 1e-12)
-    sequential_rps = config.n_requests / max(sequential_elapsed, 1e-12)
-    p50, p99 = (float(v) for v in np.percentile(latencies, (50.0, 99.0)))
-    engine = classifier.fused_engine()
-    payload = {
-        "schema_version": SERVING_SCHEMA_VERSION,
-        "benchmark": "serving",
-        "workload": {
-            "name": workload.name,
-            "dim": workload.dim,
-            "levels": workload.levels,
-            "chunk_size": workload.chunk_size,
-            "n_features": workload.n_features,
-            "n_classes": workload.n_classes,
-            "seed": workload.seed,
-            "n_requests": config.n_requests,
-            "concurrency": config.concurrency,
-            "n_tenants": 1,
-            "scenario": config.scenario,
-            "mode": "closed",
-        },
-        "service": {
-            "max_batch": config.max_batch,
-            "max_wait_ms": config.max_wait_ms,
-            "max_queue_depth": config.max_queue_depth,
-            "n_shards": 1,
-            "fused_active": bool(
-                classifier.config.fused_inference and engine.enabled
-            ),
-        },
-        "results": {
-            "throughput_rps": throughput,
-            "sequential_rps": sequential_rps,
-            "speedup_vs_sequential": throughput / max(sequential_rps, 1e-12),
-            "elapsed_seconds": elapsed,
-            "sequential_elapsed_seconds": sequential_elapsed,
-            "latency_seconds": {
-                "p50": p50,
-                "p99": p99,
-                "mean": float(latencies.mean()),
-                "max": float(latencies.max()),
-            },
-            "batches": {
-                "count": stats["batches"],
-                "mean_size": stats["completed"] / max(stats["batches"], 1),
-                "max_size": service.max_batch_size,
-            },
-            "flush_reasons": dict(service.flush_reasons),
-            "timeline": throughput_timeline(completion_offsets, elapsed),
-            "requests": {
-                "sent": config.n_requests,
-                "completed": stats["completed"],
-                "rejected": stats["rejected"],
-                "dropped": stats["dropped"],
-            },
-        },
-        "checks": {
-            "predictions_match_single": bool(np.array_equal(predictions, expected)),
-            "zero_dropped": stats["dropped"] == 0 and stats["failed"] == 0,
-        },
-        "environment": _environment(),
-        "telemetry": registry.snapshot(),
-    }
+        # The per-stage serving telemetry (queue wait, batch sizes, flush
+        # reasons, latency) is part of the artifact.
+        telemetry_registry = telemetry.MetricsRegistry(enabled=True)
+        with telemetry.activated(telemetry_registry):
+            runs, target = asyncio.run(
+                _serve(config, tenants, models, oracle, tenant_ids, requests, workload.seed)
+            )
+
+    payload = _payload(
+        workload, config, tenants, tenant_ids, oracle, expected, sequential_elapsed,
+        runs, target, telemetry_registry.snapshot(),
+    )
     return validate_serving_payload(payload)
 
 
@@ -1085,8 +698,9 @@ def fleet_config(profile: str, config: LoadgenConfig | None = None) -> LoadgenCo
 
     3 tenants (the bench gate's floor) under the ``mixed`` scenario, a
     per-tenant quota at half the global bound (so quota backpressure is
-    actually exercised), and one hot-swap under load.  An explicit
-    ``config`` that already asks for tenants is passed through untouched.
+    actually exercised), and — on the in-process target — one hot-swap
+    under load.  An explicit ``config`` that already asks for tenants is
+    passed through untouched.
     """
     if config is not None and config.n_tenants > 1:
         return config
@@ -1098,7 +712,7 @@ def fleet_config(profile: str, config: LoadgenConfig | None = None) -> LoadgenCo
         n_tenants=3,
         scenario="mixed",
         tenant_quota=max(1, base.max_queue_depth // 2),
-        swap_under_load=True,
+        swap_under_load=base.n_shards == 1,
     )
 
 

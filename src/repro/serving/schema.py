@@ -65,7 +65,8 @@ def _validate_fleet(results: dict, checks: dict, n_tenants: int, requests: dict)
     """Fleet-mode gates: per-tenant balance + bit-identity, swap availability.
 
     These are the multi-tenant acceptance criteria: every tenant's
-    request accounting must balance to zero dropped, every tenant's
+    request accounting must balance to zero dropped and its sent,
+    completed and rejected counts must sum to the run totals, every tenant's
     microbatched predictions must be bit-identical to its single-model
     sequential oracle, and a hot-swap performed under load must have
     availability 1.0 (every request answered across the flip).
@@ -77,7 +78,7 @@ def _validate_fleet(results: dict, checks: dict, n_tenants: int, requests: dict)
         isinstance(tenants, dict) and len(tenants) == n_tenants,
         f"results.fleet.tenants must describe all {n_tenants} tenants",
     )
-    total_sent = 0
+    totals = dict.fromkeys(("sent", "completed", "rejected"), 0)
     for tenant, stats in tenants.items():
         _schema.require(isinstance(tenant, str) and tenant, "tenant names must be strings")
         _schema.require(isinstance(stats, dict), f"fleet.tenants[{tenant!r}] must be an object")
@@ -92,11 +93,13 @@ def _validate_fleet(results: dict, checks: dict, n_tenants: int, requests: dict)
             stats.get("match_single") is True,
             f"tenant {tenant!r} predictions diverged from its single-model oracle",
         )
-        total_sent += stats["sent"]
-    _schema.require(
-        total_sent == requests["sent"],
-        "per-tenant sent counts must sum to requests.sent",
-    )
+        for field in totals:
+            totals[field] += stats[field]
+    for field, total in totals.items():
+        _schema.require(
+            total == requests[field],
+            f"per-tenant {field} counts must sum to requests.{field}",
+        )
     _schema.require(isinstance(fleet.get("registry"), dict), "fleet.registry must be an object")
 
     swap = results.get("swap")

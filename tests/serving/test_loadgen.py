@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,3 +376,63 @@ def test_open_loop_config_validation():
         LoadgenConfig(mode="open", rates=(100.0,), n_shards=0)
     with pytest.raises(ValueError, match="kill_shard"):
         LoadgenConfig(mode="open", rates=(100.0,), kill_shard_under_load=True)
+
+
+# -- one request loop: measured accounting, swap in every in-process mode -------
+
+
+def test_open_loop_fleet_rejections_are_accounted_per_tenant():
+    # Tiny batches, a two-slot queue and a one-slot tenant quota at 20k rps:
+    # most first attempts bounce, and every bounce belongs to one tenant.
+    payload = run_loadgen(
+        DEFAULT_SERVING_WORKLOADS["smoke"],
+        LoadgenConfig(
+            n_requests=240, max_batch=2, max_queue_depth=2, tenant_quota=1,
+            n_tenants=3, scenario="mixed", mode="open", rates=(20_000.0,),
+        ),
+    )
+    requests = payload["results"]["requests"]
+    tenants = payload["results"]["fleet"]["tenants"]
+    assert requests["rejected"] > 0
+    assert sum(t["rejected"] for t in tenants.values()) == requests["rejected"]
+    assert sum(t["completed"] for t in tenants.values()) == requests["completed"] == 240
+    corrupted = copy.deepcopy(payload)
+    next(iter(corrupted["results"]["fleet"]["tenants"].values()))["rejected"] += 1
+    with pytest.raises(ValueError, match="rejected counts must sum"):
+        validate_serving_payload(corrupted)
+
+
+def test_open_loop_fleet_swap_performed_with_full_availability():
+    payload = run_loadgen(
+        DEFAULT_SERVING_WORKLOADS["smoke"],
+        LoadgenConfig(
+            n_requests=120, max_batch=16, n_tenants=3, scenario="mixed",
+            mode="open", rates=(400.0,), swap_under_load=True,
+        ),
+    )
+    swap = payload["results"]["swap"]
+    assert swap["performed"] is True
+    assert swap["version_after"] == swap["version_before"] + 1
+    assert swap["availability"] == 1.0
+    assert payload["checks"]["swap_zero_downtime"] is True
+    assert payload["results"]["fleet"]["registry"]["publishes"] == 4
+
+
+def test_swap_and_microbatch_settings_rejected_up_front():
+    with pytest.raises(ValueError, match="n_tenants >= 2"):
+        LoadgenConfig(swap_under_load=True)
+    with pytest.raises(ValueError, match="n_shards == 1"):
+        LoadgenConfig(
+            n_tenants=3, swap_under_load=True, mode="open", rates=(100.0,), n_shards=2
+        )
+    with pytest.raises(ValueError, match="max_queue_depth"):
+        LoadgenConfig(max_batch=16, max_queue_depth=4)
+    # The fleet profile asks for its hot-swap only where one can run.
+    sharded = LoadgenConfig(mode="open", rates=(100.0,), n_shards=2)
+    assert fleet_config("fleet-smoke", sharded).swap_under_load is False
+
+
+def test_committed_serving_artifact_validates():
+    path = Path(__file__).resolve().parents[2] / "BENCH_serving.json"
+    payload = validate_serving_payload(json.loads(path.read_text()))
+    assert payload["schema_version"] == SERVING_SCHEMA_VERSION

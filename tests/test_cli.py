@@ -217,7 +217,6 @@ class TestServingCommands:
     def test_open_loop_parser_defaults(self):
         args = build_parser().parse_args(["loadgen"])
         assert args.open_loop is False
-        assert args.closed_loop is False
         assert args.rate is None
         assert args.shards == 1
         assert args.kill_shard is False
@@ -229,14 +228,13 @@ class TestServingCommands:
             ["loadgen", "--open-loop", "--rate", "400", "--rate", "800",
              "--shards", "2", "--kill-shard"]
         )
-        assert args.open_loop and not args.closed_loop
+        assert args.open_loop
         assert args.rate == [400.0, 800.0]
         assert args.shards == 2 and args.kill_shard
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["loadgen", "--open-loop", "--closed-loop"],  # mutually exclusive
             ["loadgen", "--rate", "0"],
             ["loadgen", "--rate", "-100"],
             ["loadgen", "--shards", "0"],
@@ -261,6 +259,17 @@ class TestServingCommands:
     def test_flag_combinations_exit_2(self, argv, needle, capsys):
         assert main(argv) == 2
         assert needle in capsys.readouterr().err
+
+    def test_bad_microbatch_settings_exit_2_before_training(self, monkeypatch, capsys):
+        import repro.serving.loadgen as loadgen
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a model was trained before the config was checked")
+
+        monkeypatch.setattr(loadgen.LookHDClassifier, "fit", no_training)
+        argv = ["loadgen", "--profile", "smoke", "--max-batch", "16", "--max-queue-depth", "4"]
+        assert main(argv) == 2
+        assert "max_queue_depth (4) must be >= max_batch (16)" in capsys.readouterr().err
 
     def test_loadgen_open_loop_smoke_writes_valid_artifact(self, tmp_path, capsys):
         import json
