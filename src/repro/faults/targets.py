@@ -36,7 +36,6 @@ from repro.faults.injectors import (
     flip_sign_bits,
     required_width,
 )
-from repro.lookhd import encoder as encoder_module
 from repro.lookhd.classifier import LookHDClassifier
 from repro.utils.rng import derive_rng
 from repro.utils.validation import check_in_range, check_positive_int
@@ -46,8 +45,11 @@ DEFAULT_TARGETS = ("lookup_table", "positions", "class_vectors", "compressed", "
 
 #: Memories :func:`inject_live_fault` can corrupt *in place* on a serving
 #: classifier.  The derived caches ("score_table", "prebound_table") model
-#: bit rot in state the version counters cannot see; the authoritative
-#: entries model damage the integrity guard must repair or degrade around.
+#: bit rot in state the version counters cannot see — each is a target
+#: only while the classifier's predict reads it
+#: (:meth:`~repro.lookhd.classifier.LookHDClassifier.served_table`); the
+#: authoritative entries model damage the integrity guard must repair or
+#: degrade around.
 LIVE_TARGETS = ("score_table", "prebound_table", "class_vectors", "compressed")
 
 
@@ -103,11 +105,8 @@ class FaultReport:
 
 def _invalidate_caches(clf: LookHDClassifier) -> None:
     """Drop every table derived from the now-faulted memories."""
-    clf._fused_engine = None
-    if clf.encoder is not None:
-        clf.encoder._prebound = encoder_module._UNSET
-    if clf.class_model is not None:
-        clf.class_model.mark_dirty()
+    clf.release_tables()
+    clf.class_model.mark_dirty()
     if clf.compressed_model is not None:
         clf.compressed_model.mark_dirty()
 
@@ -195,20 +194,22 @@ def inject_live_fault(
     check_in_range(ber, "ber", 0.0, 1.0)
     if clf.encoder is None or clf.class_model is None:
         raise RuntimeError("classifier must be fitted before injecting faults")
-    if target == "score_table":
-        engine = clf.fused_engine()
-        array = engine.score_table  # force materialisation
-        if array is None:
+    if target in ("score_table", "prebound_table"):
+        served = clf.served_table()
+        if target != served:
             raise ValueError(
-                "score_table is not materialised (fused path over budget); "
-                "pick an authoritative live target instead"
+                f"{target} is not read by this classifier's predict (it serves "
+                f"from the {served}); pick the served table or an "
+                "authoritative live target"
             )
-    elif target == "prebound_table":
-        array = clf.encoder.prebound_table  # force materialisation
+        if served == "score_table":
+            array = clf.fused_engine().score_table
+        else:
+            array = clf.encoder.prebound_table
         if array is None:
             raise ValueError(
-                "prebound_table is not materialised (over budget or unbound "
-                "positions); pick another live target"
+                f"{target} is not materialised (over budget or unbound "
+                "positions); pick an authoritative live target instead"
             )
     elif target == "class_vectors":
         array = clf.class_model.class_vectors

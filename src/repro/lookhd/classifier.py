@@ -312,24 +312,41 @@ class LookHDClassifier:
 
     # -- serving table lifecycle -----------------------------------------------
 
-    def warm_tables(self) -> int:
-        """Materialise the serving caches off the request path; returns bytes.
+    def served_table(self) -> str:
+        """The one derived table :meth:`predict` reads right now.
 
-        Forces both lazily built table sets — the pre-bound encode table
-        ``B = P ⊙ T`` and the fused ``(m, q^r, k)`` score table — so a
-        model can be published into a registry fully bound, and the first
-        request after a hot-swap never pays a build.  Tables over their
-        budgets simply stay unbuilt (the exact fallback paths serve);
-        the return value is the bytes actually held, the quantity the
-        registry charges against its cache budget.
+        ``"score_table"`` while the fused engine serves (fused inference
+        on, not degraded via :attr:`serve_reference`, table within its
+        budget); otherwise ``"prebound_table"``, the encoder's
+        ``B = P ⊙ T`` behind the hypervector path.  Warm-up, the registry
+        charge, the integrity guard and the live-fault targets all follow
+        this answer, so serving never builds, charges or hashes a table
+        predict does not read.
+        """
+        if self.config.fused_inference and not self.serve_reference:
+            if self.fused_engine().enabled:
+                return "score_table"
+        return "prebound_table"
+
+    def warm_tables(self) -> int:
+        """Build the :meth:`served_table` off the request path; returns bytes held.
+
+        A model is published into a registry fully bound, so the first
+        request after a hot-swap never pays a build.  When fused predict
+        serves, a pre-bound table left behind by retraining or ``encode``
+        is dropped (the encoder rebuilds it lazily).  A table over its
+        budget stays unbuilt and the exact fallback path serves.  The
+        return value is the bytes held, which the registry charges
+        against its cache budget.
         """
         if self.encoder is None:
             raise RuntimeError("classifier must be fitted before warming tables")
-        self.encoder.prebound_table  # noqa: B018 — property access builds
-        if self.config.fused_inference and not self.serve_reference:
-            engine = self.fused_engine()
-            if engine.enabled:
-                engine.score_table  # noqa: B018 — property access builds
+        if self.served_table() == "score_table":
+            if self.encoder.prebound_bytes_held():
+                self.encoder.invalidate_prebound()
+            self.fused_engine().score_table  # noqa: B018 — property access builds
+        else:
+            self.encoder.prebound_table  # noqa: B018 — property access builds
         return self.serving_table_bytes()
 
     def release_tables(self) -> None:
@@ -362,9 +379,9 @@ class LookHDClassifier:
         """Classify raw feature vectors (compressed search when enabled).
 
         Served from the fused lookup-domain score table when
-        ``config.fused_inference`` is on and the table fits its budget;
-        otherwise encodes in memory-bounded batches and searches in the
-        hypervector domain.  Both paths agree on every prediction.
+        :meth:`served_table` says so; otherwise encodes in memory-bounded
+        batches and searches in the hypervector domain.  Both paths agree
+        on every prediction.
 
         ``approx`` opts into SHEARer-style partial-chunk scoring on the
         fused path (see
@@ -384,14 +401,13 @@ class LookHDClassifier:
         batch = check_finite(check_2d(features, "features"), "features")
         if batch.shape[0] == 0:
             return np.zeros(0, dtype=np.int64)
+        if self.served_table() == "score_table":
+            predictions = self.fused_engine().predict(
+                batch, approx=approx, approx_margin=approx_margin
+            )
+            return predictions[0] if single else predictions
         if self.config.fused_inference and not self.serve_reference:
-            engine = self.fused_engine()
-            if engine.enabled:
-                predictions = engine.predict(
-                    batch, approx=approx, approx_margin=approx_margin
-                )
-                return predictions[0] if single else predictions
-            engine.note_fallback()
+            self.fused_engine().note_fallback()  # fused was asked for: over budget
         predictions = model.predict(self.encoder.encode_many(batch))
         return predictions[0] if single else predictions
 

@@ -213,6 +213,28 @@ class OnlineLookHD:
         """Compress the snapshot (same options as :class:`CompressedModel`)."""
         return CompressedModel(self.class_model(), **kwargs)
 
+    # -- serving table lifecycle -----------------------------------------------
+
+    def warm_tables(self) -> int:
+        """Build the pre-bound encode table off the request path; returns bytes.
+
+        Every :meth:`predict` and :meth:`partial_fit` encodes through the
+        encoder's pre-bound table ``B = P ⊙ T``, so that is the table a
+        registry must charge for a live learner — the same "charge what
+        predict reads" rule as
+        :meth:`~repro.lookhd.classifier.LookHDClassifier.warm_tables`.
+        """
+        self.encoder.prebound_table  # noqa: B018 — property access builds
+        return self.serving_table_bytes()
+
+    def release_tables(self) -> None:
+        """Drop the pre-bound table; the next encode rebuilds it bit-identically."""
+        self.encoder.invalidate_prebound()
+
+    def serving_table_bytes(self) -> int:
+        """Live bytes held by the pre-bound table (0 when released/unbuilt)."""
+        return self.encoder.prebound_bytes_held()
+
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Classify with the current adaptive weights.
 

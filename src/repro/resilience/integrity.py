@@ -19,14 +19,18 @@ call (the scrub budget), round-robin, so a long-lived service sweeps its
 entire model state every few seconds of idle time without ever stalling
 a request.
 
-**Derived state** — the pre-bound encode table and the fused score
-table — is a pure cache; hashing gigabyte-scale caches block-by-block
-would dwarf the state they are derived from.  Instead the guard uses
-*canary queries*: a handful of deterministic feature vectors whose
-answers (score vectors / encodings) are digest-recorded when the state
-is known-good.  A canary re-query touches every layer of the serving
-path (quantize → address → gather → score), so a single digest
-comparison is an end-to-end known-answer check.
+**Derived state** — the one table the classifier's ``predict`` reads,
+named by :meth:`~repro.lookhd.classifier.LookHDClassifier.served_table`:
+the fused score table when the fused engine serves, the pre-bound encode
+table on the hypervector path — is a pure cache.  A table predict does
+not read is neither built nor guarded (at the paper's geometry the score
+table is 2.1 MB; the pre-bound table fused predict skips is 82 MB).  The
+guard block-digests the served table and adds *canary queries*: a
+handful of deterministic feature vectors whose answers (score vectors /
+encodings) are digest-recorded when the state is known-good.  A canary
+re-query touches every layer of the serving path (quantize → address →
+gather → score), so a single digest comparison is an end-to-end
+known-answer check.
 
 Repair ladder
 -------------
@@ -68,8 +72,17 @@ _REBUILDABLE_FROM_COUNTERS = frozenset(
     {"class_vectors", "compressed", "prepared_classes", "common_direction", "keys"}
 )
 
-#: Names the canary checks report against (derived caches).
-_DERIVED_ARTIFACTS = ("prebound_table", "score_table")
+#: How the guard reads each derived table a classifier may serve from
+#: (keyed by :meth:`LookHDClassifier.served_table`): the table itself for
+#: block digests, and the canary answers computed through it.
+_DERIVED_TABLES = {
+    "score_table": lambda clf: clf.fused_engine().score_table,
+    "prebound_table": lambda clf: clf.encoder.prebound_table,
+}
+_CANARY_ANSWERS = {
+    "score_table": lambda clf, features: clf.fused_engine().scores(features),
+    "prebound_table": lambda clf, features: clf.encoder.encode_many(features),
+}
 
 
 class IntegrityError(RuntimeError):
@@ -154,8 +167,8 @@ class IntegrityGuard:
     include_derived:
         When ``False``, the guard covers authoritative state only — no
         derived-cache digests, no canaries.  Building (or even probing)
-        the derived specs *materialises* the pre-bound and score tables,
-        so a guard over an LRU-evicted fleet tenant must opt out or the
+        the derived spec *materialises* the table predict reads, so a
+        guard over an LRU-evicted fleet tenant must opt out or the
         scrub loop would silently rebind every tenant the registry just
         evicted, defeating the byte budget.  The
         :class:`FleetScrubber` flips this per tenant as its binding
@@ -200,15 +213,15 @@ class IntegrityGuard:
         (``None`` for state that never changes after fit); ``kind`` is
         ``"authoritative"`` or ``"derived"`` and selects the repair rung.
 
-        The derived caches are guarded by block digests *as well as*
+        The served derived table is guarded by block digests *as well as*
         canaries: canaries are the end-to-end known-answer check, but a
         handful of probe queries only touch a handful of table rows — a
         flip in a cold row hides from them indefinitely.  Digesting the
-        materialised cache sweeps every byte.  Recording the digests
-        forces the caches to materialise, which doubles as serving
-        warm-up; the digests stay valid across legitimate rebuilds
-        (invalidation, LRU eviction) because rebuilds from
-        intact authoritative state are bit-identical.
+        materialised table sweeps every byte.  Recording the digests
+        builds the table predict reads (and only that one), which
+        doubles as serving warm-up; the digests stay valid across
+        legitimate rebuilds (invalidation, LRU eviction) because
+        rebuilds from intact authoritative state are bit-identical.
         """
         clf = self.clf
         specs = {
@@ -257,22 +270,16 @@ class IntegrityGuard:
                     None,
                     "authoritative",
                 )
-        if self.include_derived and not clf.serve_reference:
-            if clf.encoder.prebound_table is not None:
-                specs["prebound_table"] = (
-                    lambda: clf.encoder.prebound_table,
-                    None,
-                    "derived",
-                )
-            if clf.config.fused_inference and clf.fused_engine().enabled:
-                model_family = (
-                    "compressed_model" if clf.compressed_model is not None else "class_model"
-                )
-                specs["score_table"] = (
-                    lambda: clf.fused_engine().score_table,
-                    model_family,
-                    "derived",
-                )
+        if self.include_derived:
+            name = clf.served_table()
+            table = _DERIVED_TABLES[name]
+            if table(clf) is not None:  # None: over budget, nothing cached
+                family = None
+                if name == "score_table":
+                    family = (
+                        "compressed_model" if clf.compressed_model is not None else "class_model"
+                    )
+                specs[name] = (lambda: table(clf), family, "derived")
         return specs
 
     def _family_versions(self) -> dict:
@@ -342,27 +349,16 @@ class IntegrityGuard:
         self._record_canaries()
 
     def _canary_answers_now(self) -> dict:
-        """Known-answer digests over the derived serving path, as of now.
+        """Known-answer digest over the path predict serves from, as of now.
 
         Empty when derived coverage is off: even *running* a canary
-        encode would materialise the pre-bound table.
+        query would materialise the served table.
         """
-        clf = self.clf
-        answers = {}
         if not self.include_derived:
-            return answers
-        encoded = clf.encoder.encode_many(self._canary_features)
-        answers["prebound_table"] = hashlib.sha256(
-            np.ascontiguousarray(encoded)
-        ).hexdigest()
-        if clf.config.fused_inference:
-            engine = clf.fused_engine()
-            if engine.enabled:
-                scores = engine.scores(self._canary_features)
-                answers["score_table"] = hashlib.sha256(
-                    np.ascontiguousarray(scores)
-                ).hexdigest()
-        return answers
+            return {}
+        name = self.clf.served_table()
+        answers = _CANARY_ANSWERS[name](self.clf, self._canary_features)
+        return {name: hashlib.sha256(np.ascontiguousarray(answers)).hexdigest()}
 
     def _record_canaries(self) -> None:
         self._canary_answers = self._canary_answers_now()
@@ -451,10 +447,7 @@ class IntegrityGuard:
         self.canary_checks += 1
         actual = self._canary_answers_now()
         errors = []
-        for name in _DERIVED_ARTIFACTS:
-            expected = self._canary_answers.get(name)
-            if expected is None:
-                continue
+        for name, expected in self._canary_answers.items():
             if actual.get(name) != expected:
                 errors.append(
                     IntegrityError(
@@ -493,12 +486,6 @@ class IntegrityGuard:
 
     # -- repair ----------------------------------------------------------------
 
-    def _invalidate_derived(self) -> None:
-        clf = self.clf
-        if clf._fused_engine is not None:
-            clf._fused_engine.invalidate()
-        clf.encoder.invalidate_prebound()
-
     def repair(self, error: IntegrityError) -> RepairReport:
         """Climb the repair ladder for one detected violation.
 
@@ -526,8 +513,8 @@ class IntegrityGuard:
 
     def _repair(self, error: IntegrityError) -> RepairReport:
         if error.kind == "derived":
-            self._invalidate_derived()
-            # Accessing the specs below forces the caches to rebuild from
+            self.clf.release_tables()
+            # Reading the served table's spec below rebuilds it from
             # authoritative state; if that state is intact, the rebuilt
             # bytes match the recorded digests and the canaries agree.
             residual = [
@@ -578,7 +565,7 @@ class IntegrityGuard:
     def _degrade(self, error: IntegrityError, why: str) -> RepairReport:
         self.degraded = True
         self.clf.serve_reference = True
-        self._invalidate_derived()
+        self.clf.release_tables()
         # Re-record the baseline: the damage is latched in :attr:`degraded`
         # (and the health probe), so re-alerting on the same bytes every
         # tick would only bury the signal.

@@ -667,8 +667,9 @@ def run_loadgen(workload: BenchWorkload, config: LoadgenConfig | None = None) ->
             for tenant in tenants
         ]
         oracle = {tenant: load_classifier(path) for tenant, path in models}
-        # Warm the lazy tables (pre-bound encode table, fused score table)
-        # so both measured paths run steady-state, as a deployed model would.
+        # Warm the lazy table predict reads (the fused score table, or the
+        # pre-bound encode table on the hypervector path) so both measured
+        # paths run steady-state, as a deployed model would.
         for tenant in tenants:
             oracle[tenant].predict(pools[tenant][:1])
 

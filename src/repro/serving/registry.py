@@ -8,8 +8,8 @@ the indirection that turns those single-model subsystems into a fleet:
 
 * **Named, versioned records.**  ``publish(tenant, classifier)`` installs
   a model under a tenant name and bumps that tenant's monotonic version.
-  Publishing again is a **zero-downtime hot-swap**: the new model's fused
-  encode/score tables are built *before* the flip (off the serving path —
+  Publishing again is a **zero-downtime hot-swap**: the new model's
+  serving table is built *before* the flip (off the serving path —
   the TCP front end runs the build in a worker thread), and the flip
   itself is one dict assignment, so a serving-path :meth:`get` observes
   either the complete old record or the complete new one, never a
@@ -20,11 +20,15 @@ the indirection that turns those single-model subsystems into a fleet:
 
 * **LRU table cache under a byte budget.**  The registered models
   themselves are cheap (counters + class vectors); the expensive part is
-  each model's *bound table set* — the pre-bound encode table and the
-  fused score table, tens of MB each at paper scale.  The registry keeps
-  bound table sets in an LRU keyed by serving recency, charged against
-  ``cache_budget_bytes``.  Publishing or lazily rebinding a tenant past
-  the budget evicts the least-recently-served tenants' tables
+  each model's *bound table set* — the one derived table its ``predict``
+  reads, as decided by the model's ``warm_tables``: the fused score table
+  (2.1 MB at the paper's geometry) for a fused ``LookHDClassifier``, the
+  pre-bound encode table (82 MB) for one on the hypervector path and for
+  a live ``OnlineLookHD``.  A table predict does not read is neither
+  built nor charged.  The registry keeps bound table sets in an LRU keyed
+  by serving recency, charged against ``cache_budget_bytes``.  Publishing
+  or lazily rebinding a tenant past the budget evicts the
+  least-recently-served tenants' tables
   (``serving.registry.evictions``); an evicted tenant stays registered
   and correct — its next request rebuilds the tables lazily
   (``serving.registry.lazy_rebuilds``), bit-identical to pre-eviction,
@@ -171,8 +175,8 @@ class ModelRegistry:
     def _warm(classifier) -> int:
         warm = getattr(classifier, "warm_tables", None)
         if warm is None:
-            # Models without cacheable tables (e.g. a live OnlineLookHD)
-            # are always "bound" at zero bytes.
+            # Stub models without cacheable tables are always "bound" at
+            # zero bytes.
             return 0
         return int(warm())
 

@@ -116,7 +116,7 @@ def run_stats_workload(workload: StatsWorkload | None = None) -> dict:
 
         # 3. A zero-budget encoder: the raw-table (bind-on-the-fly) path.
         clf.encoder.prebind_budget_bytes = 0
-        clf.encoder._prebound = None
+        clf.encoder.invalidate_prebound()
         clf.encoder.encode(test_x[:8])
 
         # 4. Online learning + its histogram.

@@ -23,12 +23,18 @@ def data():
     )
 
 
+def _fit(data, **overrides) -> LookHDClassifier:
+    model = LookHDClassifier(
+        LookHDConfig(dim=256, levels=4, chunk_size=4, seed=2, **overrides)
+    )
+    model.fit(data.train_features, data.train_labels)
+    return model
+
+
 @pytest.fixture
 def clf(data):
     """A fresh fitted classifier per test (tests mutate it destructively)."""
-    model = LookHDClassifier(LookHDConfig(dim=256, levels=4, chunk_size=4, seed=2))
-    model.fit(data.train_features, data.train_labels)
-    return model
+    return _fit(data)
 
 
 def _detect(guard: IntegrityGuard) -> list[IntegrityError]:
@@ -61,15 +67,35 @@ class TestIntegrityGuard:
         assert np.array_equal(np.asarray(clf.predict(data.test_features)), clean)
         assert not guard.degraded
 
-    def test_prebound_corruption_detected_and_rebuilt(self, clf, data):
+    @pytest.mark.filterwarnings("ignore::repro.lookhd.inference.FusedFallbackWarning")
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"fused_inference": False}, {"score_table_budget_bytes": 1}],
+        ids=["fused_off", "score_table_over_budget"],
+    )
+    def test_prebound_corruption_detected_and_rebuilt(self, data, overrides):
+        # Only a classifier whose predict reads the pre-bound table has
+        # one to corrupt: fused inference off, or its score table over
+        # budget.
+        clf = _fit(data, **overrides)
+        assert clf.served_table() == "prebound_table"
         guard = IntegrityGuard(clf)
         clean = np.asarray(clf.predict(data.test_features))
         inject_live_fault(clf, "prebound_table", ber=1e-4, seed=2)
         errors = _detect(guard)
         assert any(e.artifact == "prebound_table" for e in errors)
         report = guard.repair(errors[0])
+        assert report.action == "rebuilt_derived"
         assert report.repaired
+        assert guard.verify_all() == []
         assert np.array_equal(np.asarray(clf.predict(data.test_features)), clean)
+
+    def test_unread_prebound_table_is_not_a_live_target(self, clf):
+        assert clf.served_table() == "score_table"
+        with pytest.raises(ValueError, match="not read by this classifier's predict"):
+            inject_live_fault(clf, "prebound_table", ber=1e-4, seed=2)
+        # Refusing must not have built the 82 MB table just to corrupt it.
+        assert clf.encoder.prebound_bytes_held() == 0
 
     def test_model_corruption_rebuilt_from_counters(self, clf, data):
         guard = IntegrityGuard(clf)
