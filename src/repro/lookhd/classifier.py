@@ -370,26 +370,16 @@ class LookHDClassifier:
             held += self._fused_engine.memory_bytes()
         return held
 
-    def predict(
-        self,
-        features: np.ndarray,
-        approx: float | None = None,
-        approx_margin: float = 0.0,
-    ) -> np.ndarray:
+    def predict(self, features: np.ndarray) -> np.ndarray:
         """Classify raw feature vectors (compressed search when enabled).
 
         Served from the fused lookup-domain score table when
-        :meth:`served_table` says so; otherwise encodes in memory-bounded
-        batches and searches in the hypervector domain.  Both paths agree
-        on every prediction.
+        :meth:`served_table` says so (by the compiled kernel when it is
+        loaded, see :mod:`repro.kernels`); otherwise encodes in
+        memory-bounded batches and searches in the hypervector domain.
+        All paths agree on every prediction.
 
-        ``approx`` opts into SHEARer-style partial-chunk scoring on the
-        fused path (see
-        :meth:`repro.lookhd.inference.FusedInferenceEngine.scores_addresses`);
-        it only takes effect when the fused engine is serving — the
-        hypervector-domain fallback always predicts exactly.
-
-        Inputs are validated the same on both paths: a query containing
+        Inputs are validated the same on every path: a query containing
         NaN/inf raises ``ValueError`` instead of quantizing to garbage.
         Single-query contract (relied on by :mod:`repro.serving`): a 1-D
         ``(n,)`` sample returns a NumPy ``int64`` scalar; an ``(N, n)``
@@ -398,14 +388,14 @@ class LookHDClassifier:
         """
         model = self._inference_model()
         single = np.asarray(features).ndim == 1
-        batch = check_finite(check_2d(features, "features"), "features")
+        batch = check_2d(features, "features")
         if batch.shape[0] == 0:
             return np.zeros(0, dtype=np.int64)
         if self.served_table() == "score_table":
-            predictions = self.fused_engine().predict(
-                batch, approx=approx, approx_margin=approx_margin
-            )
+            # The engine checks finiteness itself, in the kernel's pass.
+            predictions = self.fused_engine().predict(batch)
             return predictions[0] if single else predictions
+        check_finite(batch, "features")
         if self.config.fused_inference and not self.serve_reference:
             self.fused_engine().note_fallback()  # fused was asked for: over budget
         predictions = model.predict(self.encoder.encode_many(batch))

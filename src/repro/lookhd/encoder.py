@@ -131,14 +131,18 @@ class LookupEncoder:
         self.__dict__.update(state)
         self._prebound = _UNSET
 
-    def addresses(self, features: np.ndarray) -> np.ndarray:
-        """Quantize and form chunk addresses: ``(N, n)`` floats → ``(N, m)`` ints."""
+    def check_features(self, features: np.ndarray) -> np.ndarray:
+        """``features`` as a 2-D batch of this encoder's width, or raise."""
         batch = check_2d(features, "features")
         if batch.shape[1] != self.layout.n_features:
             raise ValueError(
                 f"expected {self.layout.n_features} features, got {batch.shape[1]}"
             )
-        levels = self.quantizer.transform(batch)
+        return batch
+
+    def addresses(self, features: np.ndarray) -> np.ndarray:
+        """Quantize and form chunk addresses: ``(N, n)`` floats → ``(N, m)`` ints."""
+        levels = self.quantizer.transform(self.check_features(features))
         return self.layout.addresses(levels, self.quantizer.levels)
 
     # -- pre-bound table -------------------------------------------------------

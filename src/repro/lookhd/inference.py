@@ -43,6 +43,7 @@ from repro import kernels, telemetry
 from repro.hdc.model import ClassModel
 from repro.lookhd.compression import CompressedModel
 from repro.lookhd.encoder import LookupEncoder
+from repro.utils.validation import check_finite
 
 #: Default ceiling for the ``(m, q^r, k)`` float64 score table.  Generous:
 #: the paper-scale table is a few MB, so hitting this signals an unusual
@@ -206,115 +207,76 @@ class FusedInferenceEngine:
 
     # -- inference -------------------------------------------------------------
 
-    @staticmethod
-    def _check_approx(approx: float | None) -> float | None:
-        if approx is None:
-            return None
-        approx = float(approx)
-        if not 0.0 < approx <= 1.0:
-            raise ValueError(f"approx must be in (0, 1], got {approx}")
-        return approx
-
-    def scores_addresses(
-        self,
-        addresses: np.ndarray,
-        approx: float | None = None,
-        approx_margin: float = 0.0,
-    ) -> np.ndarray:
-        """Per-class scores for pre-computed ``(N, m)`` chunk addresses.
-
-        Parameters
-        ----------
-        approx:
-            Opt-in SHEARer-style approximate scoring: score only the
-            first ``ceil(approx · m)`` chunk positions (a fraction of
-            the encoded dimensions' contributions).  ``None`` (default)
-            and ``1.0`` are exact; anything less trades accuracy for a
-            proportional cut in gather work.  **Approximate by design**
-            — excluded from the bit-identity gates; see EXPERIMENTS.md
-            for the accuracy-vs-speed sweep protocol.
-        approx_margin:
-            Early-exit refinement knob, used only with ``approx``: rows
-            whose partial top-1/top-2 score margin is below this value
-            are re-scored over the remaining chunks (making those rows
-            bit-exact).  ``0.0`` disables refinement.
-        """
+    def _require_table(self) -> np.ndarray:
         table = self.score_table
         if table is None:
             raise RuntimeError(
                 self.note_fallback()
                 + " (call the classifier's predict(), which handles the fallback)"
             )
-        approx = self._check_approx(approx)
-        addresses = np.asarray(addresses)
-        n_chunks = addresses.shape[1]
-        if approx is None or approx >= 1.0 or n_chunks == 0:
-            out = kernels.gather_accumulate(table, addresses, np.float64)
-            telemetry.count("inference.fused.queries", out.shape[0])
-            telemetry.count("inference.fused.batches")
-            return out
-        # Partial scoring: chunks [0, k0) only.  Accumulation order stays
-        # chunk-major, so a row later refined over chunks [k0, m) ends up
-        # bit-identical to full scoring.
-        k0 = max(1, int(np.ceil(approx * n_chunks)))
-        out = kernels.gather_accumulate(table[:k0], addresses[:, :k0], np.float64)
-        refined = 0
-        if approx_margin > 0.0 and k0 < n_chunks and out.shape[0]:
-            top2 = np.partition(out, out.shape[1] - 2, axis=1)[:, -2:] if out.shape[1] > 1 else None
-            if top2 is not None:
-                uncertain = np.flatnonzero(top2[:, 1] - top2[:, 0] < approx_margin)
-            else:
-                uncertain = np.arange(out.shape[0])
-            if uncertain.size:
-                # Continue the chunk-major accumulation in place: adding a
-                # separately-summed tail would reassociate the float adds
-                # and lose bit-exactness for refined rows.
-                sub_addresses = addresses[uncertain]
-                refined_rows = out[uncertain]
-                for chunk in range(k0, n_chunks):
-                    refined_rows += table[chunk][sub_addresses[:, chunk]]
-                out[uncertain] = refined_rows
-                refined = int(uncertain.size)
-        telemetry.count("inference.approx.queries", out.shape[0])
-        telemetry.count("inference.approx.refined", refined)
+        return table
+
+    def scores_addresses(self, addresses: np.ndarray) -> np.ndarray:
+        """Per-class scores for pre-computed ``(N, m)`` chunk addresses."""
+        out = kernels.gather_accumulate(self._require_table(), np.asarray(addresses), np.float64)
+        telemetry.count("inference.fused.queries", out.shape[0])
         telemetry.count("inference.fused.batches")
         return out
 
-    def scores(
-        self,
-        features: np.ndarray,
-        approx: float | None = None,
-        approx_margin: float = 0.0,
-    ) -> np.ndarray:
+    def _score(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """``(scores, predictions)`` for a batch; predictions ``None`` on NumPy.
+
+        The compiled kernel (:func:`repro.kernels.fused_predict`) serves
+        whenever it is loaded and the quantizer searches one global
+        boundary array; it checks finiteness in the same pass, and only
+        when it reports a bad row are the values counted, for the same
+        ``ValueError`` as :func:`~repro.utils.validation.check_finite`.
+        Otherwise the NumPy composition serves: quantize → chunk
+        addresses → gather-accumulate.
+        """
+        batch = self.encoder.check_features(features)
+        boundaries = self.encoder.quantizer.searchsorted_boundaries()
+        if boundaries is None or kernels.current_mode() != "compiled":
+            check_finite(batch, "features")
+            return self.scores_addresses(self.encoder.addresses(batch)), None
+        # One read of the table: a concurrent invalidate() cannot free it
+        # while the kernel reads it.
+        table = self._require_table()
+        values = np.ascontiguousarray(batch, dtype=np.float64)
+        layout = self.encoder.layout
+        scores, predictions, bad_row = kernels.fused_predict(
+            values, boundaries, self.encoder.quantizer.levels,
+            layout.chunk_size, layout.n_chunks, table,
+        )
+        if bad_row >= 0:
+            check_finite(batch, "features")
+            check_finite(values, "values")
+        telemetry.count("inference.fused.queries", scores.shape[0])
+        telemetry.count("inference.fused.batches")
+        return scores, predictions
+
+    def scores(self, features: np.ndarray) -> np.ndarray:
         """Per-class scores for raw ``(n,)`` / ``(N, n)`` feature vectors.
 
         Matches the hypervector-domain scores to float rounding (the only
-        difference is summation order), with identical argmax in practice.
-        With ``approx`` set, scores are approximate — see
-        :meth:`scores_addresses`.
+        difference is summation order), with identical argmax in practice;
+        the compiled and NumPy paths agree bit for bit.
         """
-        single = np.asarray(features).ndim == 1
-        out = self.scores_addresses(
-            self.encoder.addresses(features), approx=approx, approx_margin=approx_margin
-        )
-        return out[0] if single else out
+        out, _ = self._score(features)
+        return out[0] if np.asarray(features).ndim == 1 else out
 
-    def predict(
-        self,
-        features: np.ndarray,
-        approx: float | None = None,
-        approx_margin: float = 0.0,
-    ) -> np.ndarray | np.int64:
-        """Argmax class per query.
+    def predict(self, features: np.ndarray) -> np.ndarray | np.int64:
+        """Argmax class per query (the first maximum on ties).
 
         Follows the library-wide single-query contract: a 1-D sample
         returns a NumPy ``int64`` scalar, a batch an ``(N,)`` ``int64``
-        array (see :meth:`repro.hdc.model.ClassModel.predict`).
+        array (see :meth:`repro.hdc.model.ClassModel.predict`).  Raises
+        ``ValueError`` for a wrong feature count or a NaN/inf value.
         """
-        scores = self.scores(features, approx=approx, approx_margin=approx_margin)
-        if scores.ndim == 1:
-            return np.int64(np.argmax(scores))
-        return np.argmax(scores, axis=1).astype(np.int64, copy=False)
+        scores, predictions = self._score(features)
+        if predictions is None:
+            predictions = np.argmax(scores, axis=1).astype(np.int64, copy=False)
+        return predictions[0] if np.asarray(features).ndim == 1 else predictions
 
     # -- reporting -------------------------------------------------------------
 

@@ -87,6 +87,16 @@ class Quantizer(abc.ABC):
     def boundaries(self) -> np.ndarray:
         """The ``levels − 1`` interior decision boundaries, ascending."""
 
+    def searchsorted_boundaries(self) -> np.ndarray | None:
+        """The one global boundary array :meth:`transform` searches, or ``None``.
+
+        Quantizers whose levels are ``searchsorted(b, v, side="right")``
+        over a single ascending array ``b`` return it (live, not a copy),
+        which lets the compiled fused predict kernel quantize in C; every
+        other quantizer returns ``None`` and is served by NumPy.
+        """
+        return None
+
     def level_counts(self, values: np.ndarray) -> np.ndarray:
         """How many of ``values`` fall into each level (diagnostic, Fig. 3)."""
         indices = self.transform(values).ravel()

@@ -67,6 +67,9 @@ class EqualizedQuantizer(Quantizer):
     def boundaries(self) -> np.ndarray:
         return self._boundaries.copy()
 
+    def searchsorted_boundaries(self) -> np.ndarray:
+        return self._boundaries
+
     def balance(self, values: np.ndarray) -> float:
         """Ratio of the emptiest to fullest level occupancy in ``values``.
 

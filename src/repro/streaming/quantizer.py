@@ -141,6 +141,9 @@ class StreamingQuantizer(Quantizer):
     def boundaries(self) -> np.ndarray:
         return self._boundaries.copy()
 
+    def searchsorted_boundaries(self) -> np.ndarray:
+        return self._boundaries
+
     def describe(self) -> dict:
         """Sketch + boundary snapshot for bench payloads."""
         return {

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import telemetry
+from repro import kernels, telemetry
 from repro.datasets.synthetic import SyntheticSpec, make_synthetic_classification
 from repro.lookhd.classifier import LookHDClassifier, LookHDConfig
 from repro.lookhd.inference import FusedFallbackWarning
@@ -152,7 +152,8 @@ def measure_disabled_overhead(
     """Overhead of disabled telemetry on the bench predict micro-workload.
 
     Times the instrumented public fused predict path against a local,
-    telemetry-free reimplementation of the identical kernel (quantize →
+    telemetry-free call of the kernel it serves from (the compiled
+    :func:`repro.kernels.fused_predict` when loaded, else quantize →
     addresses → score-table gather/sum → argmax) and returns best-of-
     ``repeats`` wall times plus their relative difference.  Best-of (not
     median) is used because the quantity under test is a fixed per-batch
@@ -177,6 +178,13 @@ def measure_disabled_overhead(
         return clf.predict(test)
 
     def baseline() -> np.ndarray:
+        if kernels.current_mode() == "compiled":
+            layout = encoder.layout
+            return kernels.fused_predict(
+                np.ascontiguousarray(test, dtype=np.float64),
+                encoder.quantizer.searchsorted_boundaries(),
+                encoder.quantizer.levels, layout.chunk_size, layout.n_chunks, table,
+            )[1]
         addresses = encoder.addresses(test)
         out = np.zeros((addresses.shape[0], n_classes), dtype=np.float64)
         for chunk in range(addresses.shape[1]):
@@ -186,18 +194,25 @@ def measure_disabled_overhead(
     if not np.array_equal(instrumented(), baseline()):
         raise RuntimeError("overhead baseline diverged from the instrumented path")
 
+    # Each sample runs enough calls to last ~25 ms: a single compiled
+    # predict of the batch takes ~2 ms, too short for a steady minimum.
+    start = time.perf_counter()
+    baseline()
+    calls = max(1, int(np.ceil(0.025 / max(time.perf_counter() - start, 1e-6))))
     instrumented_times, baseline_times = [], []
     for _ in range(repeats):
         # Interleave so drift (thermal, caches) hits both paths equally.
         start = time.perf_counter()
-        baseline()
+        for _ in range(calls):
+            baseline()
         baseline_times.append(time.perf_counter() - start)
         start = time.perf_counter()
-        instrumented()
+        for _ in range(calls):
+            instrumented()
         instrumented_times.append(time.perf_counter() - start)
 
-    best_baseline = min(baseline_times)
-    best_instrumented = min(instrumented_times)
+    best_baseline = min(baseline_times) / calls
+    best_instrumented = min(instrumented_times) / calls
     return {
         "baseline_seconds": best_baseline,
         "instrumented_seconds": best_instrumented,

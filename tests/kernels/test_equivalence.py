@@ -39,8 +39,9 @@ def test_public_ops_are_the_reference_implementations():
     assert set(REFERENCE_OPS) == set(OP_NAMES)
     for op in OP_NAMES:
         assert getattr(kernels, op) is REFERENCE_OPS[op], op
-    assert kernels.active_backends() == {op: "numpy" for op in OP_NAMES}
-    assert kernels.current_mode() == "numpy"
+    mode = "numpy" if kernels.fallback_reason() else "compiled"
+    assert kernels.active_backends() == {**{op: "numpy" for op in OP_NAMES}, "fused_predict": mode}
+    assert kernels.current_mode() == mode
 
 
 class TestChunkAddresses:
