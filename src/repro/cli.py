@@ -3,7 +3,6 @@
     python -m repro train --application activity --out model.npz
     python -m repro evaluate --model model.npz --application activity
     python -m repro experiment fig04 table01 ...
-    python -m repro bench --profile full
     python -m repro faults --ber 1e-4..1e-1
     python -m repro stats --out STATS.json
     python -m repro serve --application activity --port 8752
@@ -154,36 +153,6 @@ def _tenant_model(text: str) -> tuple[str, str]:
             f"expected NAME=PATH (e.g. edge-7=model.npz), got {text!r}"
         )
     return tenant, path
-
-
-def _parse_worker_counts(text: str) -> tuple[int, ...]:
-    """Parse ``--worker-counts``: a comma list of positive ints, e.g. 1,2,4."""
-    try:
-        counts = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"could not parse worker counts {text!r}; expected e.g. 1,2,4"
-        ) from None
-    if not counts or any(count < 1 for count in counts):
-        raise argparse.ArgumentTypeError("worker counts must be positive ints")
-    return counts
-
-
-def _cmd_bench(args) -> int:
-    from repro.bench import write_bench_files
-
-    training_path, inference_path = write_bench_files(
-        args.profile,
-        out_dir=args.out_dir,
-        repeats=args.repeats,
-        n_workers=args.workers,
-        worker_counts=args.worker_counts,
-    )
-    if inference_path is None:
-        print(f"wrote {training_path}")
-    else:
-        print(f"wrote {training_path} and {inference_path}")
-    return 0
 
 
 def _parse_ber_grid(text: str, points: int) -> tuple[float, ...]:
@@ -585,11 +554,8 @@ def _cmd_stream(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    from repro.bench.workloads import profile_names
-
     print("applications:", ", ".join(application_names()))
     print("experiments: ", ", ".join(_EXPERIMENTS))
-    print("bench profiles:", ", ".join(profile_names()))
     return 0
 
 
@@ -628,40 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser("experiment", help="run paper experiments")
     experiment.add_argument("names", nargs="+", metavar="NAME")
     experiment.set_defaults(func=_cmd_experiment)
-
-    bench = sub.add_parser(
-        "bench", help="time fused vs reference kernels, write BENCH_*.json"
-    )
-    from repro.bench.workloads import profile_names
-
-    bench.add_argument(
-        "--profile",
-        default="full",
-        choices=list(profile_names()),
-        help="workload set: 'full' is the perf gate, 'smoke' a CI-sized run; "
-        "'training-scaling[-smoke]' sweeps the sharded trainer over worker "
-        "counts and writes only BENCH_training.json",
-    )
-    bench.add_argument("--out-dir", default=".", help="directory for the BENCH_*.json files")
-    bench.add_argument(
-        "--repeats", type=_positive_int, default=3, help="timed runs per stage (>= 1)"
-    )
-    bench.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="fan independent workloads out over this many processes "
-        "(non-scaling profiles only; concurrent workloads contend for "
-        "cores, so keep 1 when the timings are the deliverable)",
-    )
-    bench.add_argument(
-        "--worker-counts",
-        type=_parse_worker_counts,
-        default=(1, 2, 4),
-        metavar="N,N,...",
-        help="worker counts swept by the training-scaling profiles",
-    )
-    bench.set_defaults(func=_cmd_bench)
 
     faults = sub.add_parser(
         "faults",
@@ -725,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="FRACTION",
-        help="also measure disabled-telemetry overhead on the bench predict "
+        help="also measure disabled-telemetry overhead on a small predict "
         "micro-workload and exit non-zero if it exceeds this fraction (e.g. 0.05)",
     )
     stats.add_argument(

@@ -1,6 +1,6 @@
 """Structural schema for ``BENCH_faults.json`` reports.
 
-Hand-rolled like :mod:`repro.bench.schema` (no jsonschema dependency):
+Hand-rolled on :mod:`repro.utils.schema` (no jsonschema dependency):
 tests and CI validate every report so the fault harness's output stays
 machine-readable and comparable across the repo's history.
 """

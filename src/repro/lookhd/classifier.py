@@ -323,10 +323,15 @@ class LookHDClassifier:
         this answer, so serving never builds, charges or hashes a table
         predict does not read.
         """
+        return "prebound_table" if self._serving_engine() is None else "score_table"
+
+    def _serving_engine(self) -> FusedInferenceEngine | None:
+        """The fused engine when :meth:`served_table` is the score table."""
         if self.config.fused_inference and not self.serve_reference:
-            if self.fused_engine().enabled:
-                return "score_table"
-        return "prebound_table"
+            engine = self.fused_engine()
+            if engine.enabled:
+                return engine
+        return None
 
     def warm_tables(self) -> int:
         """Build the :meth:`served_table` off the request path; returns bytes held.
@@ -391,9 +396,10 @@ class LookHDClassifier:
         batch = check_2d(features, "features")
         if batch.shape[0] == 0:
             return np.zeros(0, dtype=np.int64)
-        if self.served_table() == "score_table":
+        engine = self._serving_engine()
+        if engine is not None:
             # The engine checks finiteness itself, in the kernel's pass.
-            predictions = self.fused_engine().predict(batch)
+            predictions = engine.predict(batch)
             return predictions[0] if single else predictions
         check_finite(batch, "features")
         if self.config.fused_inference and not self.serve_reference:

@@ -94,6 +94,9 @@ class FusedInferenceEngine:
         self.model = model
         self.budget_bytes = int(budget_bytes)
         self.n_classes = model.n_classes
+        #: Whether the score table fits the memory budget.  Fixed for the
+        #: engine's life: its encoder, model, class count and budget are.
+        self.enabled = self.table_bytes_needed() <= self.budget_bytes
         self._score_table: np.ndarray | None = None
         self._built_version: int | None = None
         self._built_encoding_version: int | None = None
@@ -112,11 +115,6 @@ class FusedInferenceEngine:
             * self.n_classes
             * np.dtype(np.float64).itemsize
         )
-
-    @property
-    def enabled(self) -> bool:
-        """Whether the score table fits the memory budget."""
-        return self.table_bytes_needed() <= self.budget_bytes
 
     def note_fallback(self) -> str:
         """Record (and warn once about) a fall back to the hypervector path.

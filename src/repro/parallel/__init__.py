@@ -1,8 +1,8 @@
-"""Multi-process execution layer: sharded training, parallel sweeps/bench.
+"""Multi-process execution layer: sharded training and parallel sweeps.
 
-Counter-based LookHD training, the fault-injection BER sweep, and
-multi-workload bench runs are all embarrassingly parallel; this package
-holds the one executor they share plus the sharded trainer built on it:
+Counter-based LookHD training and the fault-injection BER sweep are
+both embarrassingly parallel; this package holds the one executor they
+share plus the sharded trainer built on it:
 
 * :mod:`repro.parallel.executor` — worker lifecycle, deterministic shard
   planning, zero-copy ``multiprocessing.shared_memory`` array shipping,
@@ -11,8 +11,7 @@ holds the one executor they share plus the sharded trainer built on it:
   to the sequential :class:`~repro.lookhd.trainer.LookHDTrainer`.
 
 Entry points: ``LookHDClassifier.fit(..., n_workers=N)``,
-``repro bench --profile training-scaling``, ``repro faults --workers N``,
-``repro train --workers N``.
+``repro faults --workers N``, ``repro train --workers N``.
 """
 
 from repro.parallel.executor import (

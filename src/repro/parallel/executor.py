@@ -3,8 +3,8 @@
 Counter-based LookHD training (Fig. 6) is embarrassingly parallel: counter
 addition commutes, so any partition of the training set can be counted
 independently and merged exactly.  The same holds for the fault sweep
-(independent trials per BER point) and for multi-workload bench runs.
-This module provides the one executor all three share:
+(independent trials per BER point).  This module provides the one
+executor both share:
 
 * :func:`plan_shards` — deterministic contiguous shard planning (empty
   shards allowed when there are more workers than items);
@@ -414,7 +414,8 @@ class ProcessExecutor:
         result queue.  Because the worker's own messages entered the queue
         pipe before it died and the wakeup is enqueued after, the parent
         consumes every result the worker managed to flush *before* acting
-        on its death — no in-flight data is raced away.
+        on its death — no in-flight data is raced away.  Returns
+        ``(process, watcher)``; join the watcher before closing the queue.
         """
         process = context.Process(
             target=_worker_main,
@@ -437,8 +438,8 @@ class ProcessExecutor:
             except (ValueError, OSError):  # queue already closed at teardown
                 pass
 
-        watch_process(process, _on_exit, name=f"executor-watch-{slot}")
-        return process
+        watcher = watch_process(process, _on_exit, name=f"executor-watch-{slot}")
+        return process, watcher
 
     def _map_processes(self, fn, tasks) -> list:
         context = multiprocessing.get_context(self.start_method)
@@ -450,11 +451,13 @@ class ProcessExecutor:
         ]
         wall_start = time.perf_counter()
         incarnations = [0] * n_procs
-        current = [
+        spawned = [
             self._spawn(context, result_queue, slot, 0, fn, assignments[slot])
             for slot in range(n_procs)
         ]
+        current = [process for process, _ in spawned]
         all_processes = list(current)
+        watchers = [watcher for _, watcher in spawned]
 
         results = [None] * len(tasks)
         received = [False] * len(tasks)
@@ -530,18 +533,28 @@ class ProcessExecutor:
                     respawns += 1
                     incarnations[slot] += 1
                     telemetry.count("parallel.workers.respawned")
-                    replacement = self._spawn(
+                    replacement, watcher = self._spawn(
                         context, result_queue, slot, incarnations[slot], fn, remaining
                     )
                     current[slot] = replacement
                     all_processes.append(replacement)
+                    watchers.append(watcher)
         finally:
             if error is not None:
                 for process in all_processes:
                     if process.is_alive():
                         process.terminate()
             reap_processes(all_processes)
+            # A watcher's put racing close() could start a feeder thread
+            # that never gets its stop sentinel and blocks interpreter exit.
+            for watcher in watchers:
+                watcher.join(timeout=5.0)
             result_queue.close()
+            if error is None:
+                result_queue.join_thread()
+            else:
+                # A worker killed mid-send may leave the pipe's lock held.
+                result_queue.cancel_join_thread()
         if error is not None:
             raise error
         self.last_stats = MapStats(

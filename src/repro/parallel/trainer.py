@@ -7,7 +7,7 @@ set can be counted independently and merged *exactly* —
 :class:`ParallelTrainer` produces class hypervectors bit-identical to
 :class:`~repro.lookhd.trainer.LookHDTrainer` for every shard plan (the
 acceptance gate of the parallel subsystem, enforced by
-``tests/parallel/`` and by the ``training-scaling`` bench checks).
+``tests/parallel/``).
 
 Data flow per :meth:`ParallelTrainer.observe` call:
 
@@ -157,8 +157,7 @@ class ParallelTrainer(LookHDTrainer):
         self.max_respawns = max_respawns
         #: Breakdown of the most recent parallel ``observe`` call (None
         #: after a sequential-fallback call): shard/setup/merge seconds,
-        #: wall time, and pool utilisation — surfaced by the
-        #: ``training-scaling`` bench.
+        #: wall time, pool utilisation and respawns.
         self.last_parallel_stats: dict | None = None
 
     def observe(self, features: np.ndarray, labels: np.ndarray) -> None:

@@ -45,7 +45,8 @@ from typing import Awaitable, Callable
 import numpy as np
 
 from repro import telemetry
-from repro.bench.workloads import BenchWorkload
+from repro.datasets.base import Dataset
+from repro.datasets.synthetic import SyntheticSpec, make_synthetic_classification
 from repro.lookhd.classifier import LookHDClassifier, LookHDConfig
 from repro.lookhd.persistence import load_classifier, save_classifier
 from repro.serving.registry import ModelRegistry
@@ -67,11 +68,39 @@ from repro.utils.validation import check_positive_int
 #: ``mixed`` concatenates one third of each.
 SCENARIOS = ("uniform", "heavy_tailed", "bursty", "mixed")
 
+
+@dataclass(frozen=True)
+class ServingWorkload:
+    """Data geometry + LookHD hyperparameters of one seeded synthetic workload."""
+
+    name: str
+    dim: int
+    levels: int
+    chunk_size: int
+    n_features: int
+    n_classes: int
+    n_train: int
+    n_test: int
+    group_size: int | None = 12
+    decorrelate: bool = True
+    seed: int = 7
+
+    def make_dataset(self) -> Dataset:
+        spec = SyntheticSpec(
+            n_features=self.n_features,
+            n_classes=self.n_classes,
+            n_train=self.n_train,
+            n_test=self.n_test,
+            seed=self.seed,
+        )
+        return make_synthetic_classification(spec, name=self.name)
+
+
 #: Serving workload profiles.  ``full`` is the acceptance-gate geometry —
 #: the paper's efficiency configuration (D=2000, q=4, r=5) — and ``smoke``
 #: a CI-sized run exercising the same code paths in under a second.
 DEFAULT_SERVING_WORKLOADS = {
-    "full": BenchWorkload(
+    "full": ServingWorkload(
         name="serving_d2000_q4_k13",
         dim=2000,
         levels=4,
@@ -81,7 +110,7 @@ DEFAULT_SERVING_WORKLOADS = {
         n_train=1500,
         n_test=512,
     ),
-    "smoke": BenchWorkload(
+    "smoke": ServingWorkload(
         name="serving_smoke_d256_q4_k5",
         dim=256,
         levels=4,
@@ -230,7 +259,7 @@ def throughput_timeline(
 
 
 def _fit_fleet(
-    workload: BenchWorkload, n_tenants: int
+    workload: ServingWorkload, n_tenants: int
 ) -> tuple[list[str], dict[str, LookHDClassifier], dict[str, np.ndarray]]:
     """One independently-seeded model + request pool per tenant."""
     tenants = [f"tenant-{index}" for index in range(n_tenants)]
@@ -647,7 +676,7 @@ def _payload(workload, config, tenants, tenant_ids, oracle, expected, sequential
     }
 
 
-def run_loadgen(workload: BenchWorkload, config: LoadgenConfig | None = None) -> dict:
+def run_loadgen(workload: ServingWorkload, config: LoadgenConfig | None = None) -> dict:
     """Fit, run the sequential oracle, drive the target, build the payload.
 
     Deterministic apart from wall-clock numbers: every workload is

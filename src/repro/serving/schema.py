@@ -1,6 +1,6 @@
 """Structural schema for the ``BENCH_serving.json`` artifact.
 
-Hand-rolled like :mod:`repro.bench.schema` (no jsonschema dependency).
+Hand-rolled on :mod:`repro.utils.schema` (no jsonschema dependency).
 Beyond structure, the schema *is* the serving acceptance gate: a payload
 whose microbatched predictions diverged from single-request ``predict``,
 or that dropped an admitted request, fails validation — CI and tests call

@@ -78,7 +78,7 @@ from __future__ import annotations
 import asyncio
 import json
 import multiprocessing
-import queue as queue_module
+import multiprocessing.connection
 import signal
 import time
 import zlib
@@ -124,11 +124,10 @@ def shard_for(tenant: str, n_shards: int) -> int:
 
 
 def _shard_main(
-    index: int,
     host: str,
     models: list[tuple[str, str]],
     config: MicrobatchConfig,
-    control,
+    ready,
     allow_partial_fit: bool,
     scrub_interval: float,
 ) -> None:
@@ -136,9 +135,9 @@ def _shard_main(
 
     Builds the registry replica from the published artifacts, serves a
     pipelined :class:`~repro.serving.server.ServingServer` on an
-    ephemeral port, reports ``("ready", index, port)`` on the control
-    queue, and drains gracefully on SIGTERM/SIGINT — the same shutdown
-    discipline as ``repro serve``.
+    ephemeral port, sends that port on its own ``ready`` pipe, and drains
+    gracefully on SIGTERM/SIGINT — the same shutdown discipline as
+    ``repro serve``.
     """
     # Imports kept local so a spawn-start child pays them here, not at
     # module import in the parent's hot path.
@@ -167,7 +166,8 @@ def _shard_main(
             pipelined=True,
         )
         await server.start()
-        control.put(("ready", index, server.port))
+        ready.send(server.port)
+        ready.close()
         shutdown = asyncio.Event()
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGINT, signal.SIGTERM):
@@ -210,6 +210,7 @@ class _ShardLink:
         "index",
         "incarnation",
         "process",
+        "ready_pipe",
         "port",
         "reader",
         "writer",
@@ -225,6 +226,10 @@ class _ShardLink:
         self.index = index
         self.incarnation = 0
         self.process = None
+        #: Read end of the pipe the current incarnation reports its port
+        #: on.  One pipe per process: a shard killed mid-send takes its
+        #: pipe with it, where a shared queue's write lock would stay held.
+        self.ready_pipe = None
         self.port: int | None = None
         self.reader: asyncio.StreamReader | None = None
         self.writer: asyncio.StreamWriter | None = None
@@ -315,7 +320,6 @@ class ShardedServer:
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._context = None
-        self._control = None
         self._admin_lock: asyncio.Lock | None = None
         self._running = False
         self._next_sid = 0
@@ -355,7 +359,6 @@ class ShardedServer:
         self._loop = asyncio.get_running_loop()
         self._admin_lock = asyncio.Lock()
         self._context = multiprocessing.get_context(self.start_method)
-        self._control = self._context.Queue()
         self._running = True
         try:
             for link in self._links:
@@ -422,9 +425,10 @@ class ShardedServer:
         await asyncio.get_running_loop().run_in_executor(
             None, reap_processes, processes
         )
-        if self._control is not None:
-            self._control.close()
-            self._control = None
+        for link in self._links:
+            if link.ready_pipe is not None:
+                link.ready_pipe.close()
+                link.ready_pipe = None
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "call start() first"
@@ -441,20 +445,23 @@ class ShardedServer:
 
     def _spawn_shard(self, link: _ShardLink) -> None:
         """Start one shard process plus its death watcher (incarnation-tagged)."""
+        if link.ready_pipe is not None:
+            link.ready_pipe.close()
+        link.ready_pipe, ready = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=_shard_main,
             args=(
-                link.index,
                 self.host,
                 list(self._published.items()),
                 self.config,
-                self._control,
+                ready,
                 self.allow_partial_fit,
                 self.scrub_interval,
             ),
             daemon=True,
         )
         process.start()
+        ready.close()  # the shard holds the write end; EOF means it died
         link.process = process
         incarnation = link.incarnation
 
@@ -472,7 +479,7 @@ class ShardedServer:
         watch_process(process, _on_exit, name=f"shard-watch-{link.index}")
 
     async def _await_ready(self, expected: set[int]) -> dict[int, int]:
-        """Collect ``("ready", index, port)`` for every expected shard."""
+        """Collect the port every expected shard sends on its ready pipe."""
         ports: dict[int, int] = {}
         deadline = time.monotonic() + self.ready_timeout
         while expected:
@@ -482,23 +489,22 @@ class ShardedServer:
                     f"shards {sorted(expected)} did not report ready within "
                     f"{self.ready_timeout}s"
                 )
-            try:
-                message = await self._loop.run_in_executor(
-                    None, self._control.get, True, min(remaining, 0.5)
-                )
-            except queue_module.Empty:
-                for index in list(expected):
+            pipes = {self._links[index].ready_pipe: index for index in expected}
+            readable = await self._loop.run_in_executor(
+                None, multiprocessing.connection.wait, list(pipes), min(remaining, 0.5)
+            )
+            for pipe in readable:
+                index = pipes[pipe]
+                try:
+                    ports[index] = pipe.recv()
+                except EOFError:
                     process = self._links[index].process
-                    if process is not None and process.exitcode is not None:
-                        raise WorkerError(
-                            f"shard {index} exited with code {process.exitcode} "
-                            "before reporting ready",
-                            worker_index=index,
-                        )
-                continue
-            kind, index, port = message
-            if kind == "ready" and index in expected:
-                ports[index] = port
+                    process.join(timeout=1.0)
+                    raise WorkerError(
+                        f"shard {index} exited with code {process.exitcode} "
+                        "before reporting ready",
+                        worker_index=index,
+                    ) from None
                 expected.discard(index)
         return ports
 
@@ -549,6 +555,8 @@ class ShardedServer:
             return
         if link.index in self._failed_shards:
             return
+        if link.port is None:
+            return  # died while booting: start() reports it as a WorkerError
         link.recovering = True
         link.incarnation += 1
         link.ready.clear()
@@ -663,8 +671,13 @@ class ShardedServer:
         # neither happened.
         if not entry.future.done() and not entry.sent:
             entry.sent = True
-            link.writer.write(payload)
-            await link.writer.drain()
+            try:
+                link.writer.write(payload)
+                await link.writer.drain()
+            except OSError:
+                # The shard died under the write.  The entry is still
+                # pending, so recovery replays it (or fails it).
+                pass
         response = dict(await entry.future)
         response["id"] = client_id
         return response

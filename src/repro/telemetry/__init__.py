@@ -11,7 +11,7 @@ call the helpers here::
 
 All helpers route to the *active* :class:`MetricsRegistry`.  The default
 registry is **disabled**, and a disabled helper returns after a single
-boolean check — the instrumented kernels measurably pay <1% on the bench
+boolean check — the instrumented kernels measurably pay <1% on a small
 predict micro-workload (gated in CI via
 :func:`repro.telemetry.stats.measure_disabled_overhead`).
 
@@ -21,8 +21,8 @@ Enable telemetry three ways:
   registry in place (long-running services).
 * ``with telemetry.enabled() as registry:`` — swap in a fresh enabled
   registry for the block and restore the previous one after; the idiom
-  for tests and for one-shot reports (``repro stats``, the bench
-  telemetry block).
+  for tests and for one-shot reports (``repro stats``, the telemetry
+  block of the serving and streaming reports).
 * ``with telemetry.activated(registry):`` — route the helpers to an
   explicit registry you own.
 

@@ -278,12 +278,11 @@ class MetricsRegistry:
 def merge_snapshots(snapshots) -> dict:
     """Combine :meth:`MetricsRegistry.snapshot` dicts from several sources.
 
-    The reduce step for per-worker registries (parallel bench runs record
-    telemetry in each worker process and merge in the parent): counters
-    add, timers add counts/totals and keep the max, histograms add cell
-    counts — but only across identical bucket layouts (mismatched layouts
-    raise ``ValueError``, the same contract as
-    :meth:`MetricsRegistry.observe`).
+    The reduce step for registries kept in several processes (each records
+    its own telemetry, one place merges them): counters add, timers add
+    counts/totals and keep the max, histograms add cell counts — but only
+    across identical bucket layouts (mismatched layouts raise
+    ``ValueError``, the same contract as :meth:`MetricsRegistry.observe`).
     """
     merged = {"counters": {}, "timers": {}, "histograms": {}}
     for snapshot in snapshots:

@@ -1,6 +1,6 @@
 """Structural schema for telemetry snapshots and ``repro stats`` reports.
 
-Hand-rolled like :mod:`repro.bench.schema` (no jsonschema dependency).
+Hand-rolled on :mod:`repro.utils.schema` (no jsonschema dependency).
 Two levels:
 
 * :func:`validate_snapshot` — any :meth:`MetricsRegistry.snapshot` dict

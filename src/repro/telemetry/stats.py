@@ -4,14 +4,14 @@ Runs a small, pinned-seed synthetic workload through every instrumented
 layer — counter training, fused inference, a forced budget fallback, a
 forced raw-table encoder path, online learning, and a persistence round
 trip — with telemetry enabled, then returns the schema-validated report.
-The point is not performance (that's ``repro bench``) but *coverage*: one
+The point is not performance (that is ``perfbench/``) but *coverage*: one
 command that proves every signal the telemetry layer claims to capture is
 actually being captured.
 
 Also home to :func:`measure_disabled_overhead`, the CI gate that keeps the
 instrumentation honest about its "near zero when off" promise: it times
 the public (instrumented) fused predict path against a hand-inlined,
-telemetry-free reimplementation of the same kernel on the bench predict
+telemetry-free reimplementation of the same kernel on a small predict
 micro-workload and reports the relative overhead.
 """
 
@@ -149,7 +149,7 @@ def measure_disabled_overhead(
     n_test: int = 8_000,
     dim: int = 1_000,
 ) -> dict:
-    """Overhead of disabled telemetry on the bench predict micro-workload.
+    """Overhead of disabled telemetry on a small predict micro-workload.
 
     Times the instrumented public fused predict path against a local,
     telemetry-free call of the kernel it serves from (the compiled

@@ -1,8 +1,8 @@
 """Checks shared by the hand-rolled JSON artifact schemas.
 
-Every schema module (bench, faults, resilience, serving, streaming,
-telemetry) validates its own payload layout with these.  A failed check
-raises ``ValueError`` whose message starts ``"<kind> schema violation: "``.
+Every schema module (faults, resilience, serving, streaming, telemetry)
+validates its own payload layout with these.  A failed check raises
+``ValueError`` whose message starts ``"<kind> schema violation: "``.
 """
 
 from __future__ import annotations

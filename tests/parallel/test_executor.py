@@ -1,6 +1,7 @@
 """Executor layer: shard planning, shared-memory shipping, typed errors."""
 
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -150,6 +151,20 @@ class TestProcessExecutor:
         assert stats.n_workers == 2
         assert len(stats.task_seconds) == len(tasks)
         assert 0.0 <= stats.utilisation <= 1.0
+
+    def test_map_leaves_no_watcher_or_feeder_thread(self):
+        # A watcher's exit wakeup racing the queue's close() could start a
+        # feeder thread nothing ever stops, hanging interpreter exit.
+        before = set(threading.enumerate())
+        executor = ProcessExecutor(n_workers=2)
+        assert executor.map(_double, [1, 2, 3, 4]) == [2, 4, 6, 8]
+        lingering = [
+            thread.name
+            for thread in threading.enumerate()
+            if thread not in before
+            and (thread.name.startswith("executor-watch-") or thread.name == "QueueFeederThread")
+        ]
+        assert lingering == []
 
     def test_initializer_broadcast_and_finalizer(self):
         executor = ProcessExecutor(

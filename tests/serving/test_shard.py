@@ -16,6 +16,7 @@ import pytest
 
 from repro.lookhd.classifier import LookHDClassifier, LookHDConfig
 from repro.lookhd.persistence import save_classifier
+from repro.parallel.executor import WorkerError
 from repro.serving import (
     InferenceService,
     MicrobatchConfig,
@@ -203,6 +204,18 @@ class TestShardedServer:
             ShardedServer([("", "model.npz")], n_shards=1)
         with pytest.raises(ValueError, match="path"):
             ShardedServer([("alpha", "")], n_shards=1)
+
+    def test_shard_dying_before_ready_fails_start_typed(self, tmp_path):
+        # The shard cannot load its artifact and exits; its ready pipe
+        # closes, so start() fails at once instead of at the ready timeout.
+        async def drive():
+            server = ShardedServer(
+                [("ghost", str(tmp_path / "missing.npz"))], n_shards=1, ready_timeout=20.0
+            )
+            await server.start()
+
+        with pytest.raises(WorkerError, match="before reporting ready"):
+            asyncio.run(drive())
 
 
 class TestPipelinedServerMode:

@@ -7,7 +7,7 @@ import pytest
 
 from repro import telemetry
 from repro.telemetry import MetricsRegistry, metric_name
-from repro.telemetry.registry import NULL_TIMER
+from repro.telemetry.registry import NULL_TIMER, merge_snapshots
 
 
 class TestMetricName:
@@ -140,6 +140,29 @@ class TestRegistry:
         for thread in threads:
             thread.join()
         assert registry.counter_value("c") == n_threads * per_thread
+
+
+class TestMergeSnapshots:
+    def test_counters_timers_and_histograms_add(self):
+        first, second = MetricsRegistry(enabled=True), MetricsRegistry(enabled=True)
+        for registry, seconds in ((first, 0.5), (second, 1.5)):
+            registry.count("c", 2)
+            registry.record_timing("t", seconds)
+            registry.observe("h", seconds, buckets=(1.0,))
+        merged = merge_snapshots([first.snapshot(), second.snapshot()])
+        assert merged["counters"] == {"c": 4}
+        assert merged["timers"]["t"] == {
+            "count": 2, "total_seconds": 2.0, "max_seconds": 1.5
+        }
+        assert merged["histograms"]["h"]["counts"] == [1, 1]
+        assert merged["histograms"]["h"]["count"] == 2
+
+    def test_mismatched_bucket_layouts_rejected(self):
+        first, second = MetricsRegistry(enabled=True), MetricsRegistry(enabled=True)
+        first.observe("h", 0.5, buckets=(1.0,))
+        second.observe("h", 0.5, buckets=(2.0,))
+        with pytest.raises(ValueError, match="mismatched bucket layouts"):
+            merge_snapshots([first.snapshot(), second.snapshot()])
 
 
 class TestModuleHelpers:

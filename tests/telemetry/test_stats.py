@@ -41,6 +41,11 @@ class TestStatsWorkload:
         assert counters["encoder.encode.batches{path=prebound}"] >= 1
         assert counters["encoder.encode.batches{path=raw_table}"] >= 1
 
+    def test_captures_counter_training(self, stats_payload):
+        telemetry_block = stats_payload["telemetry"]
+        assert telemetry_block["counters"]["trainer.samples_observed"] >= TINY.n_train
+        assert telemetry_block["timers"]["trainer.observe_seconds"]["count"] >= 1
+
     def test_captures_online_and_persistence(self, stats_payload):
         telemetry_block = stats_payload["telemetry"]
         counters = telemetry_block["counters"]

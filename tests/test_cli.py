@@ -81,27 +81,6 @@ class TestCommands:
         assert "test accuracy" in capsys.readouterr().out
 
 
-class TestBenchCommand:
-    def test_bench_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.profile == "full"
-        assert args.repeats == 3
-
-    def test_bench_smoke_writes_files(self, tmp_path, capsys):
-        import json
-
-        from repro.bench.schema import validate_bench_payload
-
-        assert main(["bench", "--profile", "smoke", "--out-dir", str(tmp_path), "--repeats", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "outputs match: True" in out
-        for name, kind in (
-            ("BENCH_training.json", "training"),
-            ("BENCH_inference.json", "inference"),
-        ):
-            validate_bench_payload(json.loads((tmp_path / name).read_text()), kind)
-
-
 class TestServingCommands:
     def test_loadgen_parser_defaults(self):
         args = build_parser().parse_args(["loadgen"])
